@@ -62,7 +62,9 @@ pub enum AccessResult {
     /// The access is memory-bound; completion arrives via
     /// [`Hierarchy::pop_completion`].
     Pending(AccessId),
-    /// L2 MSHRs are full: the core must retry next cycle.
+    /// L2 MSHRs are full: the core must retry next cycle. The refusal
+    /// stands until this core's MSHR file releases an entry or the line
+    /// enters the LLC; either event raises a wake ([`Hierarchy::pop_wake`]).
     Retry,
 }
 
@@ -351,6 +353,15 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
     /// Dirty-eviction writebacks awaiting backend space.
     writeback_queue: VecDeque<u64>,
     completed: VecDeque<(u32, AccessId)>,
+    /// Per core, the line of its last access while that access was refused
+    /// with [`AccessResult::Retry`] (cleared by the core's next access).
+    retried: Vec<Option<u64>>,
+    /// Number of `Some` entries in `retried`: LLC fills skip the wake scan
+    /// while it is zero (always, during prefill).
+    refused: usize,
+    /// Cores whose standing `Retry` may no longer hold (at most one entry
+    /// per refusal: raising a wake clears the core's `retried` line).
+    wakes: Vec<u32>,
 
     stats: HierStats,
     now: Cycle,
@@ -450,6 +461,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             finish_events: BinaryHeap::new(),
             writeback_queue: VecDeque::new(),
             completed: VecDeque::new(),
+            retried: vec![None; cfg.cores],
+            refused: 0,
+            wakes: Vec::new(),
             stats: HierStats::default(),
             now: 0,
             tel,
@@ -524,6 +538,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         now: Cycle,
     ) -> AccessResult {
         let c = core as usize;
+        if self.retried[c].take().is_some() {
+            self.refused -= 1;
+        }
 
         // Merge with an in-flight transaction for this line, if any.
         if let Some(txn_id) = self.mshr[c].lookup(line) {
@@ -555,6 +572,8 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             && !self.l2[c].peek(line)
             && !self.llc[self.llc_bank(line)].peek(line)
         {
+            self.retried[c] = Some(line);
+            self.refused += 1;
             return AccessResult::Retry;
         }
 
@@ -757,6 +776,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
                 self.writeback_queue.push_back(ev.line_addr);
             }
         }
+        self.wake_retried_line(line);
     }
 
     /// Fill the LLC with a clean memory line; dirty victims go to memory.
@@ -766,6 +786,31 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             if ev.dirty {
                 self.writeback_queue.push_back(ev.line_addr);
             }
+        }
+        self.wake_retried_line(line);
+    }
+
+    /// `line` just entered the LLC: every core refused on it would now hit.
+    fn wake_retried_line(&mut self, line: u64) {
+        if self.refused == 0 {
+            return;
+        }
+        for (c, r) in self.retried.iter_mut().enumerate() {
+            if *r == Some(line) {
+                *r = None;
+                self.refused -= 1;
+                self.wakes.push(coaxial_sim::small_u32(c));
+            }
+        }
+    }
+
+    /// Core `c`'s MSHR file released an entry: a refused access may now
+    /// allocate one.
+    fn release_mshr(&mut self, c: usize, line: u64) {
+        self.mshr[c].release(line);
+        if self.retried[c].take().is_some() {
+            self.refused -= 1;
+            self.wakes.push(coaxial_sim::small_u32(c));
         }
     }
 
@@ -998,7 +1043,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             // from the demand latency breakdown.
             self.fill_llc_clean(txn.line);
             self.fill_l2(c, txn.line, false);
-            self.mshr[c].release(txn.line);
+            self.release_mshr(c, txn.line);
             self.prefetched_lines.insert(txn.line);
             if self.prefetched_lines.len() > 1 << 20 {
                 self.prefetched_lines.clear(); // bound the tracking set
@@ -1011,7 +1056,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         self.fill_l2(c, txn.line, txn.wants_dirty);
         self.fill_l1(c, txn.line, txn.wants_dirty);
 
-        self.mshr[c].release(txn.line);
+        self.release_mshr(c, txn.line);
         for w in &txn.waiters {
             self.completed.push_back((txn.core, *w));
         }
@@ -1095,6 +1140,16 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// Pop one completion: `(core, access_id)`.
     pub fn pop_completion(&mut self) -> Option<(u32, AccessId)> {
         self.completed.pop_front()
+    }
+
+    /// Pop one wake: a core whose last access was refused with
+    /// [`AccessResult::Retry`] and whose refusal may no longer hold — its
+    /// MSHR file released an entry, or the refused line entered the LLC.
+    /// Each refusal raises at most one wake, at the [`Hierarchy::tick`] or
+    /// [`Hierarchy::access`] call that changed the state; until then a
+    /// re-presented access would be refused again.
+    pub fn pop_wake(&mut self) -> Option<u32> {
+        self.wakes.pop()
     }
 
     /// Earliest future cycle at which ticking the hierarchy could do
@@ -1395,6 +1450,58 @@ mod tests {
         d.h.reset_stats(now);
         assert_eq!(d.h.stats().l2_misses, 0);
         assert!(d.h.probe_on_chip(0, 9), "contents preserved across reset");
+    }
+
+    /// Fill core `c`'s MSHR file with cold misses (no settling).
+    fn fill_mshrs(d: &mut Driver, c: u32) {
+        for i in 0..d.h.config().l2_mshrs as u64 {
+            let r = d.h.access(c, 7_000_000 + i * 10_007, false, 1, d.now);
+            assert!(matches!(r, AccessResult::Pending(_)), "alloc {i}");
+        }
+    }
+
+    #[test]
+    fn mshr_release_wakes_the_refused_core() {
+        let mut d = Driver::new(CalmPolicy::Serial);
+        fill_mshrs(&mut d, 0);
+        assert_eq!(d.h.access(0, 5_000_000, false, 1, d.now), AccessResult::Retry);
+        assert_eq!(d.h.pop_wake(), None, "nothing changed yet");
+        // The wake is raised by exactly the tick that frees an entry.
+        while d.h.mshr[0].is_full() {
+            assert_eq!(d.h.pop_wake(), None, "no wake while the file is full");
+            d.step(1);
+        }
+        assert_eq!(d.h.pop_wake(), Some(0));
+        assert_eq!(d.h.pop_wake(), None, "one wake per refusal");
+        assert!(matches!(d.h.access(0, 5_000_000, false, 1, d.now), AccessResult::Pending(_)));
+    }
+
+    #[test]
+    fn dirty_spill_from_another_core_wakes_the_refused_core() {
+        let mut d = Driver::new(CalmPolicy::Serial);
+        let x = 3_000_003u64;
+        // Core 1 holds `x` dirty in its L2; the LLC does not have it.
+        d.h.l2[1].fill(x, true);
+        // Eight LLC-resident lines alias `x`'s L2 set (1024 sets, 8 ways).
+        let aliases: Vec<u64> = (1..=8u64).map(|k| x + k * 1024).collect();
+        for &a in &aliases {
+            let bank = d.h.llc_bank(a);
+            d.h.llc[bank].fill(a, false);
+        }
+        // Core 0 is refused on `x`: MSHRs full, `x` nowhere on its path.
+        fill_mshrs(&mut d, 0);
+        assert_eq!(d.h.access(0, x, false, 1, d.now), AccessResult::Retry);
+        // Core 1's LLC hits evict its L2 set; the eighth spills `x` into
+        // the LLC inside the `access` call itself, so the wake lands in
+        // the cycle lockstep observes it: later cores see the line in the
+        // same cycle, earlier ones (core 0 here) in the next.
+        for (k, &a) in aliases.iter().enumerate() {
+            assert_eq!(d.h.pop_wake(), None, "no wake before the spill ({k})");
+            assert!(matches!(d.h.access(1, a, false, 1, d.now), AccessResult::Done(_)));
+        }
+        assert_eq!(d.h.pop_wake(), Some(0));
+        assert!(d.h.llc[d.h.llc_bank(x)].peek(x), "the spill put x in the LLC");
+        assert!(matches!(d.h.access(0, x, false, 1, d.now), AccessResult::Done(_)));
     }
 
     #[test]

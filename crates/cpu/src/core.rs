@@ -10,6 +10,9 @@
 //!         cores[core].on_memory_complete(id);
 //!     }
 //!     for core in &mut cores { core.tick(now, &mut hierarchy); }
+//!     while let Some(core) = hierarchy.pop_wake() {
+//!         cores[core].on_retry_wake();
+//!     }
 //!     now += 1;
 //! }
 //! ```
@@ -87,6 +90,10 @@ pub struct Core {
     /// Outstanding hierarchy accesses → entry seq.
     /// Keyed lookup only — never iterated (lint D01).
     outstanding: HashMap<AccessId, u64>,
+    /// The last tick issued nothing because its first ready op was refused
+    /// with [`AccessResult::Retry`] (MSHR back-pressure). Cleared by
+    /// [`Core::on_memory_complete`] and [`Core::on_retry_wake`].
+    retry_stalled: bool,
 
     /// Retired instructions since the last stats reset.
     pub retired: u64,
@@ -120,6 +127,7 @@ impl Core {
             waiting: VecDeque::new(),
             scheduled: BinaryHeap::new(),
             outstanding: HashMap::new(),
+            retry_stalled: false,
             retired: 0,
             cycles: 0,
             loads_issued: 0,
@@ -194,9 +202,16 @@ impl Core {
 
     /// Notification from the hierarchy that a pending access finished.
     pub fn on_memory_complete(&mut self, access: AccessId) {
+        self.retry_stalled = false;
         if let Some(seq) = self.outstanding.remove(&access) {
             self.mark_done(seq);
         }
+    }
+
+    /// Notification that the hierarchy raised a wake for this core
+    /// ([`Hierarchy::pop_wake`]): its refused access may now be accepted.
+    pub fn on_retry_wake(&mut self) {
+        self.retry_stalled = false;
     }
 
     /// Advance one cycle against the shared hierarchy.
@@ -298,6 +313,7 @@ impl Core {
 
         // 3. Issue ready memory ops (out of order, within the window).
         let mut issued = 0;
+        let mut refused = false;
         let mut i = 0;
         while issued < self.params.issue_width
             && i < self.waiting.len().min(self.params.issue_window)
@@ -325,9 +341,13 @@ impl Core {
                     self.waiting.remove(i);
                     issued += 1;
                 }
-                AccessResult::Retry => break, // back-pressure: stop issuing
+                AccessResult::Retry => {
+                    refused = true;
+                    break; // back-pressure: stop issuing
+                }
             }
         }
+        self.retry_stalled = refused && issued == 0;
         if issued == 0 && !self.waiting.is_empty() {
             self.issue_stall_cycles += 1;
         }
@@ -350,22 +370,36 @@ impl Core {
     }
 
     /// If the core is fully blocked — ROB head is an unfinished memory op,
-    /// the ROB is full (no dispatch possible), and no waiting op within the
-    /// issue window is ready — return the earliest cycle something could
-    /// change *from the core's own state* (its next scheduled cache-hit
+    /// the ROB is full (no dispatch possible), and nothing in the issue
+    /// window can issue — return the earliest cycle something could change
+    /// *from the core's own state* (its next scheduled cache-hit
     /// completion; `Cycle::MAX` if none). Returns `None` when the core could
     /// retire, dispatch, or issue on the next cycle.
+    ///
+    /// "Nothing can issue" covers two cases: no waiting op in the window is
+    /// ready (its load dependence is outstanding), or the last tick issued
+    /// nothing because the first ready op was refused with `Retry` (L2 MSHR
+    /// back-pressure) — re-presenting it would be refused again, with no
+    /// side effect, until the hierarchy's state changes.
     ///
     /// The bound is **exact**, not conservative: while blocked, the core's
     /// state can change only when a due entry pops off `scheduled` (which
     /// happens first at exactly the returned cycle — the ROB-head wakeup
-    /// time the event engine parks the core on) or when the hierarchy
-    /// delivers a completion via [`Core::on_memory_complete`] (which the
-    /// engine observes directly and uses to wake the core early). Blocked
-    /// means no issues, so `scheduled` cannot gain entries and the bound
-    /// cannot move. The engine debug-asserts this contract: a core woken at
-    /// its own bound must change its [`Core::progress_fingerprint`] on the
-    /// wake-up tick.
+    /// time the event engine parks the core on), or through one of the wake
+    /// sources the engines observe directly and use to wake the core early:
+    ///
+    /// * a completion the hierarchy delivers via
+    ///   [`Core::on_memory_complete`] (may make an op ready or the head
+    ///   retirable);
+    /// * a wake from [`Hierarchy::pop_wake`], delivered via
+    ///   [`Core::on_retry_wake`]: this core's MSHR file released an entry,
+    ///   or the refused line entered the LLC (a fill from memory or another
+    ///   core's dirty spill).
+    ///
+    /// Blocked means no issues, so `scheduled` cannot gain entries and the
+    /// bound cannot move. The engine debug-asserts this contract: a core
+    /// woken at its own bound must change its
+    /// [`Core::progress_fingerprint`] on the wake-up tick.
     ///
     /// While blocked, a tick touches only the stall/occupancy counters
     /// (`cycles`, `stall_cycles`, `rob_occupancy_cum`, and — when ops are
@@ -380,10 +414,12 @@ impl Core {
         if self.rob_instrs < self.params.rob_size {
             return None; // dispatch would make progress
         }
-        let window = self.waiting.len().min(self.params.issue_window);
-        for op in self.waiting.iter().take(window) {
-            if op.dep.is_none_or(|d| self.entry_done(d)) {
-                return None; // a ready op would issue
+        if !self.retry_stalled {
+            let window = self.waiting.len().min(self.params.issue_window);
+            for op in self.waiting.iter().take(window) {
+                if op.dep.is_none_or(|d| self.entry_done(d)) {
+                    return None; // a ready op would issue
+                }
             }
         }
         Some(self.scheduled.peek().map_or(Cycle::MAX, |&Reverse((at, _))| at))
@@ -392,7 +428,10 @@ impl Core {
     /// Account `skipped` fully-blocked cycles (see [`Core::next_event`]).
     /// Exact replay of the skipped ticks: a fully-blocked tick touches
     /// nothing but the stall/occupancy counters — the ROB is full and
-    /// constant, nothing issues, and `waiting` cannot change.
+    /// constant, nothing issues (no op is ready, or the first ready one is
+    /// refused with `Retry` and leaves no trace), and `waiting` cannot
+    /// change. Valid only up to the bound and the wake sources listed on
+    /// [`Core::next_event`].
     pub fn fast_forward(&mut self, skipped: u64) {
         self.cycles += skipped;
         self.stall_cycles += skipped;
@@ -509,6 +548,31 @@ mod tests {
             assert!(core.rob_occupancy() <= 256);
         }
         assert!(core.retired > 0);
+    }
+
+    #[test]
+    fn mshr_refusal_with_a_full_rob_blocks_until_woken() {
+        // Independent cold loads: the ROB fills long before the first miss
+        // returns, and the 17th miss is refused (16 L2 MSHRs).
+        let ops: Vec<TraceOp> = (0..4096).map(|i| TraceOp::load(0, i * 4093, 1)).collect();
+        let mut core = Core::new(0, CoreParams::default(), Box::new(VecTrace::new(ops)));
+        let mut h = hierarchy();
+        let mut now = 0;
+        while core.next_event().is_none() {
+            h.tick(now);
+            while let Some((_, id)) = h.pop_completion() {
+                core.on_memory_complete(id);
+            }
+            core.tick(now, &mut h);
+            now += 1;
+            assert!(now < 10_000, "core never blocked");
+        }
+        // Every waiting op is ready (no dependences): only the refusal
+        // blocks the core, and a wake lifts it.
+        assert!(core.retry_stalled, "blocked on MSHR back-pressure");
+        assert_eq!(core.rob_occupancy(), 256);
+        core.on_retry_wake();
+        assert_eq!(core.next_event(), None, "the refused load may issue again");
     }
 
     #[test]

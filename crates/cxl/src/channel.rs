@@ -126,19 +126,24 @@ impl CxlChannel {
 
     /// Accept a request into the CPU-side queue.
     pub fn try_enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest> {
+        // The requester hands a request over before ticking the channel in
+        // cycle `issued_at`; after a span the run loop skipped (provable
+        // no-ops, never ticked) `self.now` lags that, so catch it up to
+        // the cycle an every-cycle loop would have last ticked.
+        let now = self.now.max(req.issued_at.saturating_sub(1));
         let was_empty = self.req_queue.is_empty();
         let r = self.req_queue.try_push(req);
         if r.is_ok() && was_empty {
             // This request is the new TX head; it can start no earlier
             // than the next tick (same convention as the idle horizon).
-            self.tx_front_since = self.now + 1;
+            self.tx_front_since = now + 1;
         }
         if r.is_ok() && self.credits > 0 {
             // The TX serializer may now have work before the cached link
             // horizon; lower it to the serializer-free cycle (O(1)). With
             // no credits in hand the horizon already covers the credit
             // return that must precede any TX start.
-            self.idle_until = self.idle_until.min(self.tx_free_at.max(self.now + 1));
+            self.idle_until = self.idle_until.min(self.tx_free_at.max(now + 1));
         }
         r
     }

@@ -25,7 +25,7 @@ pub enum CmdKind {
 }
 
 /// One recorded command.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CmdRecord {
     pub cycle: Cycle,
     pub kind: CmdKind,

@@ -161,6 +161,17 @@ impl Channel {
         self.subs.iter_mut().map(|s| s.take_command_log()).collect()
     }
 
+    /// [`MemoryBackend::tick`] with every sub-channel's no-op cache
+    /// bypassed: the every-cycle reference scheduler of the horizon
+    /// differential test.
+    #[cfg(feature = "test-hooks")]
+    pub fn tick_uncached(&mut self, now: Cycle) {
+        self.now = now;
+        for s in &mut self.subs {
+            s.tick_uncached(now);
+        }
+    }
+
     /// Harvest aggregated statistics.
     pub fn stats(&self) -> ChannelStats {
         let mut st = ChannelStats {
@@ -219,7 +230,13 @@ impl MemoryBackend for Channel {
         let (s, local) = self.route(req.line_addr);
         let mut local_req = req;
         local_req.line_addr = local;
-        match self.subs[s].enqueue(local_req, self.now) {
+        // The requester hands a request over before ticking the backend in
+        // cycle `issued_at`, so a backend ticked every cycle last ticked at
+        // `issued_at - 1`. After a span the run loop skipped (provable
+        // no-ops, never ticked) `self.now` lags; catch it up so the entry's
+        // queueing clock starts where the every-cycle loop starts it.
+        let now = self.now.max(req.issued_at.saturating_sub(1));
+        match self.subs[s].enqueue(local_req, now) {
             Ok(()) => Ok(()),
             Err(mut r) => {
                 r.line_addr = req.line_addr; // restore global address

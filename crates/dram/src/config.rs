@@ -41,7 +41,7 @@ pub enum PagePolicy {
 }
 
 /// Timing parameters for one DDR5 sub-channel, in 2.4 GHz clocks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DramTimings {
     /// CAS latency (READ command to first data).
     pub cl: Cycle,

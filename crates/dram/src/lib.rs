@@ -40,6 +40,12 @@ use coaxial_sim::Cycle;
 /// Type-3 devices (COAXIAL). The system crate drives this interface.
 pub trait MemoryBackend {
     /// Try to accept a request; `Err` returns it on back-pressure.
+    ///
+    /// The requester hands requests over in cycle `req.issued_at`, before
+    /// that cycle's [`MemoryBackend::tick`]. A run loop may have skipped
+    /// the cycles before it (all provable no-ops, see
+    /// [`MemoryBackend::next_event`]), so the backend must time the
+    /// request from `issued_at`, not from the last cycle it was ticked.
     fn try_enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest>;
 
     /// Advance one system clock cycle.

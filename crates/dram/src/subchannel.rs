@@ -212,17 +212,26 @@ impl SubChannel {
         }
         let addr = self.decode(req.line_addr);
         let entry = Entry { req, addr, enqueued_at: now, first_cmd: None, had_act: false };
-        // The new request may become schedulable before the cached no-op
-        // horizon: lower the horizon to the entry's own readiness threshold
-        // (O(1); a full `next_event` recompute here would dominate the
-        // scheduler cost under load). Only lowering keeps the bound sound.
-        if self.idle_until > now + 1 {
-            self.idle_until = self.idle_until.min(self.entry_ready_at(&entry).max(now + 1));
-        }
+        // The cached no-op horizon must stay a lower bound. While the drain
+        // direction holds, the new entry can only add its own readiness
+        // threshold: lower the horizon to it (O(1); a full recompute here
+        // would dominate the scheduler cost under load). An entry that
+        // flips the direction (a read into an empty read queue while writes
+        // are served, or a write reaching `write_drain_hi`) exposes the
+        // other queue's entries, so the horizon is reset instead.
+        let memo = (self.idle_until > now + 1)
+            .then(|| (self.serves_writes(), self.entry_ready_at(&entry)));
         if req.is_write {
             self.write_q.push_back(entry);
         } else {
             self.read_q.push_back(entry);
+        }
+        if let Some((served_writes, ready)) = memo {
+            self.idle_until = if self.serves_writes() == served_writes {
+                self.idle_until.min(ready.max(now + 1))
+            } else {
+                now + 1
+            };
         }
         Ok(())
     }
@@ -240,23 +249,72 @@ impl SubChannel {
 
     /// Advance one cycle: handle refresh, pick a command, issue it.
     ///
-    /// A do-nothing tick with *empty queues* memoizes [`Self::next_event`]
-    /// as an idle horizon, so an idle sub-channel stops paying the
-    /// per-cycle refresh checks and precharge-policy bank sweep until the
-    /// next refresh deadline, speculative PRE, or enqueue. With work
-    /// queued the horizon is not maintained: the bound is conservative
-    /// there (FR-FCFS claiming, drain-direction selection), and measuring
-    /// showed recomputing it after each no-op tick costs more than the
-    /// skipped scans save. [`Self::enqueue`] lowers the horizon; all other
-    /// state evolution is driven by `tick` itself, so the cache cannot go
-    /// stale.
+    /// A tick that does nothing memoizes the scheduler's exact no-op
+    /// horizon (`horizon`): the first cycle at which any refresh
+    /// step, FR-FCFS pick or speculative precharge becomes legal. Ticks
+    /// before it return at once, so a loaded sub-channel waiting out tCCD,
+    /// tRCD or a bank timer stops rescanning its queues every cycle.
+    /// [`Self::enqueue`] lowers (or resets) the horizon; all other state
+    /// evolution is driven by `tick` itself, so the cache cannot go stale.
     pub fn tick(&mut self, now: Cycle) {
         if now < self.idle_until {
-            return; // provably a no-op (see next_event contract)
+            return; // provably a no-op (see `horizon`)
         }
-        if !self.tick_inner(now) && self.read_q.is_empty() && self.write_q.is_empty() {
-            self.idle_until = self.next_event(now);
+        if !self.tick_inner(now) {
+            self.idle_until = self.horizon(now);
         }
+    }
+
+    /// The reference scheduler the horizon is checked against: the same
+    /// tick with the no-op cache bypassed, so every cycle runs the full
+    /// FR-FCFS passes.
+    #[cfg(feature = "test-hooks")]
+    pub fn tick_uncached(&mut self, now: Cycle) {
+        self.tick_inner(now);
+    }
+
+    /// Drain direction the next tick takes: the write-drain hysteresis
+    /// applied to the current queue lengths. Writes are forced out above
+    /// the high watermark and drained down to the low watermark in a
+    /// batch, which amortizes bus turnarounds; reads otherwise have
+    /// priority.
+    fn draining_after_hysteresis(&self) -> bool {
+        if self.write_q.len() >= self.cfg.write_drain_hi {
+            true
+        } else if self.write_q.len() <= self.cfg.write_drain_lo {
+            false
+        } else {
+            self.draining_writes
+        }
+    }
+
+    /// Whether the next tick serves the write queue.
+    fn serves_writes(&self) -> bool {
+        self.draining_after_hysteresis() || (self.read_q.is_empty() && !self.write_q.is_empty())
+    }
+
+    /// Whether the precharge policy may close an idle row this tick:
+    /// * OpenAdaptive — with nothing queued, close a stale open row so the
+    ///   next access pays tRCD+CL instead of a full row conflict;
+    /// * Closed — close rows as soon as legal, regardless of queues;
+    /// * Open — never close speculatively.
+    fn may_close_rows(&self) -> bool {
+        match self.cfg.page_policy {
+            PagePolicy::Open => false,
+            PagePolicy::OpenAdaptive => self.read_q.is_empty() && self.write_q.is_empty(),
+            PagePolicy::Closed => true,
+        }
+    }
+
+    /// Banks whose open row a visible queued request still wants (never
+    /// closed speculatively), as a bitmask over ≤64 banks.
+    fn wanted_banks(&self) -> u64 {
+        self.read_q
+            .iter()
+            .chain(self.write_q.iter())
+            .take(2 * self.cfg.sched_window)
+            .filter(|e| self.banks[e.addr.bank].open_row == Some(e.addr.row))
+            .fold(0, |m, e| m | 1u64 << e.addr.bank)
     }
 
     /// One cycle of real scheduler work. Returns whether any command
@@ -266,8 +324,7 @@ impl SubChannel {
             return false; // rank busy with REFab
         }
         if self.refresh_pending {
-            self.progress_refresh(now);
-            return true;
+            return self.progress_refresh(now);
         }
         if now >= self.refresh_due {
             self.refresh_pending = true;
@@ -275,16 +332,8 @@ impl SubChannel {
             return true;
         }
 
-        // Write-drain hysteresis: writes are forced out above the high
-        // watermark and drained down to the low watermark in a batch, which
-        // amortizes bus turnarounds; reads otherwise have priority.
-        if self.write_q.len() >= self.cfg.write_drain_hi {
-            self.draining_writes = true;
-        } else if self.write_q.len() <= self.cfg.write_drain_lo {
-            self.draining_writes = false;
-        }
-        let serve_writes =
-            self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
+        self.draining_writes = self.draining_after_hysteresis();
+        let serve_writes = self.serves_writes();
 
         if self.try_issue_cas(serve_writes, now) {
             return true;
@@ -292,33 +341,14 @@ impl SubChannel {
         if self.try_issue_act_or_pre(serve_writes, now) {
             return true;
         }
-        // Precharge policy:
-        // * OpenAdaptive — with nothing queued, close a stale open row so
-        //   the next access pays tRCD+CL instead of a full row conflict;
-        // * Closed — close rows as soon as legal, regardless of queues;
-        // * Open — never close speculatively.
-        // One command per cycle in any case.
-        let close_now = match self.cfg.page_policy {
-            PagePolicy::Open => false,
-            PagePolicy::OpenAdaptive => self.read_q.is_empty() && self.write_q.is_empty(),
-            PagePolicy::Closed => true,
-        };
-        if close_now {
-            let t = self.cfg.timings.clone();
-            // Never close a row that a visible queued request still wants.
-            let wanted = |bank: usize, row: u64| {
-                self.read_q
-                    .iter()
-                    .chain(self.write_q.iter())
-                    .take(2 * self.cfg.sched_window)
-                    .any(|e| e.addr.bank == bank && e.addr.row == row)
-            };
-            let victim = self.banks.iter().enumerate().find_map(|(i, b)| match b.open_row {
-                Some(row) if b.can_precharge(now) && !wanted(i, row) => Some(i),
-                _ => None,
+        // Speculative precharge (one command per cycle in any case).
+        if self.may_close_rows() {
+            let wanted = self.wanted_banks();
+            let victim = self.banks.iter().enumerate().find_map(|(i, b)| {
+                (b.can_precharge(now) && wanted & (1u64 << i) == 0).then_some(i)
             });
             if let Some(i) = victim {
-                self.banks[i].precharge(now, &t);
+                self.banks[i].precharge(now, &self.cfg.timings);
                 self.log_cmd(now, CmdKind::Pre, i, 0);
                 self.counts.pre += 1;
                 self.last_pre_at = now;
@@ -329,29 +359,33 @@ impl SubChannel {
     }
 
     /// During refresh-pending: precharge open banks, then issue REFab.
-    fn progress_refresh(&mut self, now: Cycle) {
-        let t = self.cfg.timings.clone();
+    /// Returns whether a command issued.
+    fn progress_refresh(&mut self, now: Cycle) -> bool {
         // Close one open bank per cycle (single command bus).
         if let Some(i) = self.banks.iter().position(|b| b.open_row.is_some()) {
-            if self.banks[i].can_precharge(now) {
-                self.banks[i].precharge(now, &t);
-                self.counts.pre += 1;
-                self.last_pre_at = now;
-                self.log_cmd(now, CmdKind::Pre, i, 0);
+            if !self.banks[i].can_precharge(now) {
+                return false;
             }
-            return;
+            self.banks[i].precharge(now, &self.cfg.timings);
+            self.counts.pre += 1;
+            self.last_pre_at = now;
+            self.log_cmd(now, CmdKind::Pre, i, 0);
+            return true;
         }
         // All banks closed; REFab needs tRP after the last PRE.
-        if now >= self.last_pre_at + t.t_rp {
-            self.refreshing_until = now + t.t_rfc;
-            for b in &mut self.banks {
-                b.refresh_close(self.refreshing_until);
-            }
-            self.counts.refab += 1;
-            self.log_cmd(now, CmdKind::RefAb, 0, 0);
-            self.refresh_due += t.t_refi;
-            self.refresh_pending = false;
+        let t = &self.cfg.timings;
+        if now < self.last_pre_at + t.t_rp {
+            return false;
         }
+        self.refreshing_until = now + t.t_rfc;
+        self.refresh_due += t.t_refi;
+        for b in &mut self.banks {
+            b.refresh_close(self.refreshing_until);
+        }
+        self.counts.refab += 1;
+        self.log_cmd(now, CmdKind::RefAb, 0, 0);
+        self.refresh_pending = false;
+        true
     }
 
     /// Earliest cycle at which the *channel-level* CAS constraints allow a
@@ -395,7 +429,6 @@ impl SubChannel {
     /// FR-FCFS first pass: issue a CAS for the oldest row-hit in the chosen
     /// queue. Returns true if a command issued.
     fn try_issue_cas(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let t = self.cfg.timings.clone();
         let q = if serve_writes { &self.write_q } else { &self.read_q };
         let mut chosen = None;
         for (i, e) in q.iter().take(self.cfg.sched_window).enumerate() {
@@ -414,7 +447,7 @@ impl SubChannel {
             self.read_q.remove(i).expect("index valid")
         };
         let is_write = e.req.is_write;
-        self.banks[e.addr.bank].cas(is_write, now, &t);
+        self.banks[e.addr.bank].cas(is_write, now, &self.cfg.timings);
         self.log_cmd(
             now,
             if is_write { CmdKind::Wr } else { CmdKind::Rd },
@@ -430,11 +463,12 @@ impl SubChannel {
             self.banks[e.addr.bank].row_hits += 1;
         }
         // Bus + channel bookkeeping.
+        let t = &self.cfg.timings;
         let data_start = now + if is_write { t.cwl } else { t.cl };
         let data_end = data_start + t.t_burst;
+        self.bus_busy += t.t_burst;
         self.bus_free_at = data_end;
         self.bus_dir_write = is_write;
-        self.bus_busy += t.t_burst;
         self.last_cas_at = Some((now, e.addr.bank_group));
         if is_write {
             self.last_write_cas = Some((now, e.addr.bank_group));
@@ -470,7 +504,6 @@ impl SubChannel {
     /// older queued request are not re-opened/closed for a younger one, which
     /// prevents row thrashing.
     fn try_issue_act_or_pre(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let t = self.cfg.timings.clone();
         let mut claimed: u64 = 0; // bitmask over ≤64 banks
         enum Cmd {
             Act(usize, u64),
@@ -512,7 +545,7 @@ impl SubChannel {
         match cmd {
             Cmd::Act(bank, row) => {
                 e.had_act = true;
-                self.banks[bank].activate(row, now, &t);
+                self.banks[bank].activate(row, now, &self.cfg.timings);
                 self.log_cmd(now, CmdKind::Act, bank, row);
                 self.counts.act += 1;
                 self.last_act = Some((now, self.banks_bg(bank)));
@@ -523,7 +556,7 @@ impl SubChannel {
             }
             Cmd::Pre(bank) => {
                 self.banks[bank].row_conflicts += 1;
-                self.banks[bank].precharge(now, &t);
+                self.banks[bank].precharge(now, &self.cfg.timings);
                 self.log_cmd(now, CmdKind::Pre, bank, 0);
                 self.counts.pre += 1;
                 self.last_pre_at = now;
@@ -571,26 +604,29 @@ impl SubChannel {
 
     /// Earliest future cycle at which ticking this sub-channel could do
     /// observable work, assuming no new requests arrive and all completions
-    /// due by `now` have been popped.
-    ///
-    /// This is a *lower bound*: ticking on every cycle in
-    /// `(now, next_event(now))` is provably a no-op. While no command
-    /// issues, every legality predicate in the scheduler is a threshold
-    /// check against a fixed timestamp (bank timers, tCCD/tRRD/tFAW
-    /// trackers, bus occupancy, refresh deadlines), so the earliest of
-    /// those thresholds bounds the first cycle anything can happen. The
-    /// bound is deliberately conservative where the FR-FCFS pick order
-    /// matters (claimed banks, read/write drain selection): it may name a
-    /// cycle where nothing issues after all, which only ends a skip early.
+    /// due by `now` have been popped: the next completion or the
+    /// scheduler's no-op `horizon` (served from the memoized
+    /// horizon while it is live).
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let mut next = Cycle::MAX;
-        if let Some(&Reverse(c)) = self.completions.peek() {
-            next = next.min(c.done);
-        }
-        if self.refreshing_until > now {
-            // Rank blocked in REFab: nothing issues before it completes.
-            return next.min(self.refreshing_until).max(now + 1);
-        }
+        let sched = if self.idle_until > now { self.idle_until } else { self.horizon(now) };
+        let done = self.completions.peek().map_or(Cycle::MAX, |&Reverse(c)| c.done);
+        sched.min(done).max(now + 1)
+    }
+
+    /// First cycle after `now` at which [`Self::tick`] can issue a command
+    /// or advance refresh; every tick in `(now, horizon)` is a no-op.
+    ///
+    /// While no command issues, every legality predicate in the scheduler
+    /// is a threshold check against a fixed timestamp (bank timers,
+    /// tCCD/tRRD/tFAW trackers, bus occupancy, refresh deadlines), so the
+    /// horizon mirrors the tick's own pick: the refresh sequence if one is
+    /// pending; else the next refresh deadline and, for the drain
+    /// direction the next tick takes, every row hit's CAS threshold and
+    /// each bank's first entry's PRE or ACT threshold in the served
+    /// queue's FR-FCFS window, plus the precharge policy's speculative
+    /// closes. The earliest threshold is the first cycle something
+    /// issues, so the bound is exact.
+    fn horizon(&self, now: Cycle) -> Cycle {
         if self.refresh_pending {
             // Mid-refresh precharge sequence: one PRE per cycle to the first
             // open bank (gated on its tRAS/tWR timer), then REFab tRP after
@@ -599,38 +635,37 @@ impl SubChannel {
                 Some(b) => b.earliest_pre(),
                 None => self.last_pre_at + self.cfg.timings.t_rp,
             };
-            return next.min(at).max(now + 1);
+            return at.max(now + 1);
         }
-        next = next.min(self.refresh_due);
-
-        let queued = !self.read_q.is_empty() || !self.write_q.is_empty();
-        if queued {
-            // Earliest cycle any scheduled command could become legal for an
-            // entry in the FR-FCFS window. Scanning both queues regardless
-            // of the drain state only under-estimates (safe).
-            for e in self
-                .read_q
-                .iter()
-                .take(self.cfg.sched_window)
-                .chain(self.write_q.iter().take(self.cfg.sched_window))
-            {
-                next = next.min(self.entry_ready_at(e));
-            }
+        let mut next = self.refresh_due;
+        let serve_writes = self.serves_writes();
+        let q = if serve_writes { &self.write_q } else { &self.read_q };
+        let mut claimed: u64 = 0; // banks whose first window entry was seen
+        for e in q.iter().take(self.cfg.sched_window) {
+            let bank = &self.banks[e.addr.bank];
+            let mask = 1u64 << e.addr.bank;
+            let first = claimed & mask == 0;
+            claimed |= mask;
+            let at = match bank.open_row {
+                Some(r) if r == e.addr.row => {
+                    bank.earliest_cas().max(self.cas_legal_at(e.addr.bank_group, e.req.is_write))
+                }
+                Some(_) if first => bank.earliest_pre(),
+                None if first => bank.earliest_act().max(self.act_legal_at(e.addr.bank_group)),
+                _ => continue, // a younger entry behind its bank's claim
+            };
+            next = next.min(at);
         }
-        // Speculative precharge: Closed policy closes stale rows even with
-        // queued work; OpenAdaptive only when both queues are idle.
-        let may_close = match self.cfg.page_policy {
-            PagePolicy::Open => false,
-            PagePolicy::OpenAdaptive => !queued,
-            PagePolicy::Closed => true,
-        };
-        if may_close {
-            for b in &self.banks {
-                if b.open_row.is_some() {
+        if self.may_close_rows() {
+            let wanted = self.wanted_banks();
+            for (i, b) in self.banks.iter().enumerate() {
+                if b.open_row.is_some() && wanted & (1u64 << i) == 0 {
                     next = next.min(b.earliest_pre());
                 }
             }
         }
+        // A running REFab needs no term: it closed every bank until it
+        // completes, so each threshold above already lies past it.
         next.max(now + 1)
     }
 
@@ -658,7 +693,7 @@ impl SubChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DramConfig;
+    use crate::config::{DramConfig, PagePolicy};
 
     fn sub() -> SubChannel {
         SubChannel::new(DramConfig::ddr5_4800())
@@ -780,6 +815,92 @@ mod tests {
             }
         }
         assert!(got);
+    }
+
+    /// Line address of `bank` (bank-group-major) and `row` under the
+    /// default `RowBankColumn` mapping.
+    fn line_at(cfg: &DramConfig, bank: u64, row: u64) -> u64 {
+        let bg = bank / cfg.banks_per_group as u64;
+        let ba = bank % cfg.banks_per_group as u64;
+        let per_row = cfg.banks_per_subchannel() as u64;
+        ((row * per_row + ba * cfg.bank_groups as u64 + bg) * cfg.lines_per_row()) | 1
+    }
+
+    #[test]
+    fn write_reaching_the_drain_mark_resets_the_horizon() {
+        // Writes queue below the drain mark while a read is served; the
+        // read's horizon is its CAS, tRCD out. The write that reaches the
+        // mark flips the drain direction and itself waits on a row
+        // conflict, but an older write's ACT is legal after tRRD: the
+        // cached horizon must not hide that ACT.
+        let cfg = DramConfig {
+            write_queue_depth: 8,
+            write_drain_hi: 5,
+            write_drain_lo: 2,
+            log_commands: true,
+            ..DramConfig::ddr5_4800()
+        };
+        let mut fast = SubChannel::new(cfg.clone());
+        let mut reference = SubChannel::new(cfg.clone());
+        let mut arrivals = vec![(0, MemRequest::read(0, line_at(&cfg, 1, 0), 0))];
+        arrivals.extend((0..4).map(|i| (0, MemRequest::write(1 + i, line_at(&cfg, 2, 0), 0))));
+        arrivals.push((5, MemRequest::write(9, line_at(&cfg, 1, 7), 5)));
+        for now in 0..2_000 {
+            fast.tick(now);
+            reference.tick_inner(now);
+            for (_, req) in arrivals.iter().filter(|(at, _)| *at == now) {
+                fast.enqueue(*req, now).unwrap();
+                reference.enqueue(*req, now).unwrap();
+            }
+            while fast.pop_response(now).is_some() {}
+            while reference.pop_response(now).is_some() {}
+        }
+        let log = reference.take_command_log();
+        assert_eq!(log.iter().filter(|c| c.kind == CmdKind::Wr).count(), 5);
+        assert_eq!(fast.take_command_log(), log);
+    }
+
+    #[test]
+    fn horizon_is_tight_under_load() {
+        // After a no-op tick the memoized horizon names exactly the next
+        // cycle at which the scheduler acts (unless an enqueue moved it),
+        // for every page policy under mixed traffic with refresh.
+        for policy in [PagePolicy::OpenAdaptive, PagePolicy::Open, PagePolicy::Closed] {
+            let cfg = DramConfig::ddr5_4800().with_page_policy(policy);
+            let mut sc = SubChannel::new(cfg);
+            let mut rng = coaxial_sim::SplitMix64::new(0x71647);
+            let (mut id, mut memo_from_tick, mut tight) = (0u64, false, 0u64);
+            for now in 0..60_000 {
+                // Bursty mixed traffic with idle stretches.
+                if (now / 4_000) % 3 != 2 && rng.chance(0.1) {
+                    let line =
+                        if rng.chance(0.5) { rng.next_below(1 << 12) } else { rng.next_u64() };
+                    let req = if rng.chance(0.3) {
+                        MemRequest::write(id, line, now)
+                    } else {
+                        MemRequest::read(id, line, now)
+                    };
+                    if sc.enqueue(req, now).is_ok() {
+                        memo_from_tick = false;
+                        id += 1;
+                    }
+                }
+                while sc.pop_response(now).is_some() {}
+                let next = now + 1;
+                if next < sc.idle_until {
+                    continue;
+                }
+                let boundary = memo_from_tick && next == sc.idle_until;
+                let did = sc.tick_inner(next);
+                assert!(!boundary || did, "{policy:?}: horizon {next} is not tight");
+                tight += u64::from(boundary);
+                memo_from_tick = !did;
+                if !did {
+                    sc.idle_until = sc.horizon(next);
+                }
+            }
+            assert!(tight > 1_000, "{policy:?}: only {tight} horizons checked");
+        }
     }
 
     #[test]

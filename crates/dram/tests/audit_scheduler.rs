@@ -21,7 +21,7 @@ fn run_and_log(
 ) -> Vec<Vec<coaxial_dram::audit::CmdRecord>> {
     cfg.page_policy = policy;
     let banks = cfg.banks_per_subchannel();
-    let timings = cfg.timings.clone();
+    let timings = cfg.timings;
     let mut ch = Channel::new(cfg);
     let mut rng = SplitMix64::new(0xA0D17);
     let mut issued = 0u64;
@@ -121,7 +121,7 @@ fn traffic_spanning_many_refreshes_is_jedec_legal() {
     let cfg = logged_config();
     let t_refi = cfg.timings.t_refi;
     let banks = cfg.banks_per_subchannel();
-    let timings = cfg.timings.clone();
+    let timings = cfg.timings;
     let mut ch = Channel::new(cfg);
     let mut rng = SplitMix64::new(7);
     let mut next_issue = 0u64;
@@ -156,7 +156,7 @@ fn fine_grained_bank_interleave_is_jedec_legal_but_row_hostile() {
     let seq = |mapping: AddressMapping| {
         let cfg = logged_config().with_address_mapping(mapping);
         let banks = cfg.banks_per_subchannel();
-        let timings = cfg.timings.clone();
+        let timings = cfg.timings;
         let mut ch = Channel::new(cfg);
         let mut issued = 0u64;
         let mut done = 0usize;

@@ -20,11 +20,19 @@ use coaxial_system::runner::RunSpec;
 use coaxial_system::{EngineKind, SystemConfig};
 use coaxial_workloads::Workload;
 
+/// Distinguishes the gateways started by one test process: the tests run
+/// in parallel, and two gateways sharing a port-file directory would read
+/// each other's ports.
+static GATEWAY_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// How long a drained gateway may take to exit after `POST /shutdown`.
+const JOIN_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Start a gateway on an ephemeral port; returns the base URL and the
 /// handle that yields [`GatewayStats`] after shutdown.
 fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle<GatewayStats>) {
-    let dir = std::env::temp_dir()
-        .join(format!("coaxial-gw-test-{}-{workers}-{queue_depth}", std::process::id()));
+    let seq = GATEWAY_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("coaxial-gw-test-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let port_file = dir.join("port");
@@ -61,9 +69,16 @@ fn get(base: &str, path: &str) -> ClientResponse {
     client_request("GET", &format!("{base}{path}"), b"").expect("request")
 }
 
+/// Request a drain and join the gateway thread, failing after
+/// [`JOIN_DEADLINE`] instead of hanging the suite.
 fn shutdown(base: &str, handle: std::thread::JoinHandle<GatewayStats>) -> GatewayStats {
     let resp = post(base, "/shutdown", "");
     assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let deadline = Instant::now() + JOIN_DEADLINE;
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "gateway at {base} did not exit after draining");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     handle.join().expect("gateway thread")
 }
 

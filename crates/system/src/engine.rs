@@ -25,8 +25,12 @@
 //!
 //! The safety of parking a core rests on the [`Core::next_event`] contract:
 //! a fully-blocked tick is exactly `cycles += 1; stall_cycles += 1`, it
-//! reads nothing from the hierarchy, and the blocked state can end only at
-//! the reported bound or at a delivered completion. The event engine
+//! changes nothing in the hierarchy (at most it re-presents an access the
+//! hierarchy refuses again), and the blocked state can end only at the
+//! reported bound, at a delivered completion, or at a hierarchy wake
+//! (`Hierarchy::pop_wake`: the refused core's MSHR file freed an entry or
+//! its line entered the LLC). Both engines deliver wakes in lockstep's
+//! order, so their skip decisions agree. The event engine
 //! debug-asserts the bound half of that contract on every bound-triggered
 //! wakeup, so a stale bound fails loudly in tests instead of silently
 //! degrading skipping.
@@ -162,8 +166,13 @@ pub fn run_lockstep<B: MemoryBackend, T: TelemetrySink>(
                 cores[core as usize].on_memory_complete(id);
             }
         }
-        for core in cores.iter_mut() {
-            core.tick(now, hierarchy);
+        deliver_wakes(cores, hierarchy);
+        for i in 0..cores.len() {
+            cores[i].tick(now, hierarchy);
+            // A wake raised by core i's own accesses (a dirty spill into
+            // the LLC) matters only to cores that already ticked: the
+            // later ones re-present their access this cycle anyway.
+            deliver_wakes(cores, hierarchy);
         }
         now += 1;
 
@@ -215,6 +224,19 @@ pub fn run_lockstep<B: MemoryBackend, T: TelemetrySink>(
     RunOutcome { now, finish_ipc, stats }
 }
 
+/// Lockstep: hand every pending hierarchy wake to its core, so a refused
+/// core no longer reports itself blocked to the skip probe.
+fn deliver_wakes<B: MemoryBackend, T: TelemetrySink>(
+    cores: &mut [Core],
+    hierarchy: &mut Hierarchy<B, T>,
+) {
+    while let Some(j) = hierarchy.pop_wake() {
+        if let Some(c) = cores.get_mut(j as usize) {
+            c.on_retry_wake();
+        }
+    }
+}
+
 /// Per-core scheduling state for the event engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
@@ -223,6 +245,27 @@ enum CoreState {
     /// Fully blocked; `idle_from` is its first un-ticked cycle. The parked
     /// span is replayed via `fast_forward` when the core wakes.
     Blocked { idle_from: Cycle },
+}
+
+/// Unpark core `j` so that it ticks again from cycle `from` on: replay its
+/// pure-stall span `[idle_from, from)` and make it runnable. No-op for a
+/// runnable core.
+fn unpark(
+    cores: &mut [Core],
+    state: &mut [CoreState],
+    queue: &mut EventQueue,
+    runnable: &mut usize,
+    j: usize,
+    from: Cycle,
+) {
+    if let CoreState::Blocked { idle_from } = state[j] {
+        if from > idle_from {
+            cores[j].fast_forward(from - idle_from);
+        }
+        state[j] = CoreState::Runnable;
+        *runnable += 1;
+        queue.cancel(j);
+    }
 }
 
 /// Bring a parked core's counters up to cycle boundary `upto` (exclusive):
@@ -275,22 +318,24 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                 continue;
             }
             cores[i].on_memory_complete(id);
-            if let CoreState::Blocked { idle_from } = state[i] {
+            if state[i] != CoreState::Runnable {
                 // The completion may have unblocked the core. Re-probe: its
                 // scheduled heap is frozen while blocked, so the bound can
                 // only stay put or collapse to "runnable".
                 match cores[i].next_event() {
-                    None => {
-                        if now > idle_from {
-                            cores[i].fast_forward(now - idle_from);
-                        }
-                        state[i] = CoreState::Runnable;
-                        runnable += 1;
-                        queue.cancel(i);
-                    }
+                    None => unpark(cores, &mut state, &mut queue, &mut runnable, i, now),
                     Some(at) if at != Cycle::MAX => queue.schedule(i, at),
                     Some(_) => queue.cancel(i),
                 }
+            }
+        }
+        // Wakes raised by the hierarchy tick (MSHR releases, LLC fills):
+        // every core ticks after it, so a woken core ticks this cycle.
+        while let Some(j) = hierarchy.pop_wake() {
+            let j = j as usize;
+            if j < n {
+                cores[j].on_retry_wake();
+                unpark(cores, &mut state, &mut queue, &mut runnable, j, now);
             }
         }
         // Wake cores whose own bound is due this cycle.
@@ -340,6 +385,18 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                     queue.schedule(i, at);
                 } else {
                     queue.cancel(i);
+                }
+            }
+            // Wakes raised by core i's accesses (a dirty spill that puts a
+            // refused line into the LLC), in lockstep's order: cores after
+            // i still tick this cycle and see it now; cores up to i already
+            // ticked and see it next cycle.
+            while let Some(j) = hierarchy.pop_wake() {
+                let j = j as usize;
+                if j < n {
+                    cores[j].on_retry_wake();
+                    let from = if j > i { now } else { now + 1 };
+                    unpark(cores, &mut state, &mut queue, &mut runnable, j, from);
                 }
             }
         }
