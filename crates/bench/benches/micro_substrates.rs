@@ -8,6 +8,11 @@
 //! runs a warmup iteration, then `SAMPLES` timed iterations, and reports
 //! min/mean wall-clock per iteration.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a self-timed benchmark measures host wall-clock time"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -11,6 +11,11 @@
 //! bit-identical at any width. Wall-clock numbers for the seed-vs-current
 //! comparison live in `BENCH_sim_throughput.json` at the repo root.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a self-timed benchmark measures host wall-clock time"
+)]
+
 use std::time::Instant;
 
 use coaxial_bench::banner;

@@ -10,7 +10,7 @@
 //! `COAXIAL_INSTR` toward the paper's 200 M tightens the numbers at
 //! proportional cost.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 use std::fs;

@@ -19,7 +19,7 @@
 //! measured total.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use coaxial_dram::{MemRequest, MemoryBackend};
 use coaxial_sim::{Cycle, Histogram};
@@ -265,6 +265,41 @@ struct Finish {
     txn: u32,
 }
 
+/// In-flight demand reads by memory request id. Request ids are issued in
+/// increasing order, so this is a window of slots indexed by
+/// `id - base`: writes and completed reads leave `None` holes, which are
+/// trimmed from the front as the oldest outstanding read completes.
+#[derive(Debug, Default)]
+struct ReadWindow {
+    base: u64,
+    slots: VecDeque<Option<u32>>,
+}
+
+impl ReadWindow {
+    /// Track request `id` (newer than every tracked id) for transaction `txn`.
+    fn insert(&mut self, id: u64, txn: u32) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let at = coaxial_sim::idx(id - self.base);
+        debug_assert!(at >= self.slots.len(), "request ids must increase");
+        self.slots.resize(at, None);
+        self.slots.push_back(Some(txn));
+    }
+
+    /// Stop tracking request `id`, returning its transaction if it was a
+    /// tracked read.
+    fn remove(&mut self, id: u64) -> Option<u32> {
+        let at = coaxial_sim::idx(id.checked_sub(self.base)?);
+        let txn = self.slots.get_mut(at)?.take();
+        while self.slots.front() == Some(&None) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        txn
+    }
+}
+
 /// Warmed cache-array contents captured after a functional prefill; see
 /// [`Hierarchy::export_prefill_state`].
 #[derive(Clone)]
@@ -334,15 +369,13 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
 
     stride_tables: Vec<StrideTable>,
     /// Lines brought in by a prefetch and not yet touched by demand.
-    /// Keyed membership only — never iterated (lint D01).
-    prefetched_lines: HashSet<u64>,
+    prefetched_lines: BTreeSet<u64>,
     pf_stats: PrefetchStats,
 
     txns: Vec<Option<Txn>>,
     free_txns: Vec<u32>,
-    /// Memory request id → transaction (reads only; writes use WRITE_MARK).
-    /// Keyed lookup only — never iterated (lint D01).
-    req_map: HashMap<u64, u32>,
+    /// Memory request id → transaction (reads only).
+    reads: ReadWindow,
     next_req_id: u64,
     next_access_id: AccessId,
 
@@ -387,8 +420,6 @@ impl<B: MemoryBackend> Hierarchy<B> {
     }
 }
 
-/// Sentinel in `req_map` values is unnecessary for writes: write request ids
-/// are simply absent from the map and their responses are dropped.
 impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     pub fn with_telemetry(cfg: HierarchyConfig, backend: B, tel: T) -> Self {
         assert!(cfg.cores > 0);
@@ -449,11 +480,11 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             calm,
             backend,
             stride_tables: (0..cfg.cores).map(|_| StrideTable::new()).collect(),
-            prefetched_lines: HashSet::new(),
+            prefetched_lines: BTreeSet::new(),
             pf_stats: PrefetchStats::default(),
             txns: Vec::new(),
             free_txns: Vec::new(),
-            req_map: HashMap::new(),
+            reads: ReadWindow::default(),
             next_req_id: 0,
             next_access_id: 0,
             issue_events: BinaryHeap::new(),
@@ -960,7 +991,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             match self.backend.try_enqueue(req) {
                 Ok(()) => {
                     self.next_req_id += 1;
-                    self.req_map.insert(req_id, txn_id);
+                    self.reads.insert(req_id, txn_id);
                     let txn = self.txns[txn_id as usize].as_mut().expect("live");
                     txn.mem_enqueued_at = Some(now);
                     self.stats.mem_reads += 1;
@@ -996,7 +1027,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             if resp.is_write {
                 continue; // writeback ack: nothing waits on it
             }
-            let Some(txn_id) = self.req_map.remove(&resp.id) else {
+            let Some(txn_id) = self.reads.remove(resp.id) else {
                 continue;
             };
             let txn = self.txns[txn_id as usize].as_mut().expect("live txn");

@@ -5,8 +5,6 @@
 //! entry; a full file back-pressures the core, which (together with the
 //! ROB) bounds per-core memory-level parallelism.
 
-use std::collections::HashMap;
-
 /// Error returned when the MSHR file has no free entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MshrFull;
@@ -14,8 +12,9 @@ pub struct MshrFull;
 /// MSHR file mapping in-flight line addresses to an opaque transaction id.
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    /// Keyed lookup only — never iterated (lint D01).
-    entries: HashMap<u64, u32>,
+    /// `(line, txn)` pairs in no particular order. The file is small (16
+    /// entries in Table III), so a linear scan beats hashing.
+    entries: Vec<(u64, u32)>,
     capacity: usize,
     /// High-water mark, for reporting.
     pub peak: usize,
@@ -24,7 +23,7 @@ pub struct Mshr {
 impl Mshr {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        Self { entries: HashMap::with_capacity(capacity), capacity, peak: 0 }
+        Self { entries: Vec::with_capacity(capacity), capacity, peak: 0 }
     }
 
     pub fn capacity(&self) -> usize {
@@ -46,7 +45,7 @@ impl Mshr {
     /// Transaction already in flight for this line, if any.
     #[inline]
     pub fn lookup(&self, line_addr: u64) -> Option<u32> {
-        self.entries.get(&line_addr).copied()
+        self.entries.iter().find(|&&(line, _)| line == line_addr).map(|&(_, txn)| txn)
     }
 
     /// Allocate an entry. Fails when full. Panics if the line is already
@@ -55,16 +54,19 @@ impl Mshr {
         if self.is_full() {
             return Err(MshrFull);
         }
-        let prev = self.entries.insert(line_addr, txn);
-        assert!(prev.is_none(), "line {line_addr:#x} already has an MSHR");
+        assert!(self.lookup(line_addr).is_none(), "line {line_addr:#x} already has an MSHR");
+        self.entries.push((line_addr, txn));
         self.peak = self.peak.max(self.entries.len());
         Ok(())
     }
 
     /// Release the entry for a completed line.
     pub fn release(&mut self, line_addr: u64) {
-        let removed = self.entries.remove(&line_addr);
-        debug_assert!(removed.is_some(), "releasing untracked line {line_addr:#x}");
+        let at = self.entries.iter().position(|&(line, _)| line == line_addr);
+        debug_assert!(at.is_some(), "releasing untracked line {line_addr:#x}");
+        if let Some(at) = at {
+            self.entries.swap_remove(at);
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! array is checked against an exact reference model, and the hierarchy's
 //! accounting is validated under random access streams.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -15,12 +15,12 @@ struct RefCache {
     sets: u64,
     assoc: usize,
     /// Per set: Vec of (line, dirty), most-recently-used LAST.
-    contents: HashMap<u64, Vec<(u64, bool)>>,
+    contents: BTreeMap<u64, Vec<(u64, bool)>>,
 }
 
 impl RefCache {
     fn new(capacity_bytes: u64, assoc: usize) -> Self {
-        Self { sets: capacity_bytes / 64 / assoc as u64, assoc, contents: HashMap::new() }
+        Self { sets: capacity_bytes / 64 / assoc as u64, assoc, contents: BTreeMap::new() }
     }
 
     fn set_of(&self, line: u64) -> u64 {

@@ -18,7 +18,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use coaxial_cache::hierarchy::AccessResult;
 use coaxial_cache::{AccessId, Hierarchy};
@@ -87,9 +87,10 @@ pub struct Core {
     waiting: VecDeque<WaitingOp>,
     /// Deterministic-latency completions (cache hits) scheduled ahead.
     scheduled: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// Outstanding hierarchy accesses → entry seq.
-    /// Keyed lookup only — never iterated (lint D01).
-    outstanding: HashMap<AccessId, u64>,
+    /// Outstanding hierarchy accesses as `(access, entry seq)`, sorted by
+    /// access id: the hierarchy hands out ids in increasing order, so an
+    /// insert is a push and a lookup is a binary search.
+    outstanding: Vec<(AccessId, u64)>,
     /// The last tick issued nothing because its first ready op was refused
     /// with [`AccessResult::Retry`] (MSHR back-pressure). Cleared by
     /// [`Core::on_memory_complete`] and [`Core::on_retry_wake`].
@@ -126,7 +127,7 @@ impl Core {
             staged: None,
             waiting: VecDeque::new(),
             scheduled: BinaryHeap::new(),
-            outstanding: HashMap::new(),
+            outstanding: Vec::new(),
             retry_stalled: false,
             retired: 0,
             cycles: 0,
@@ -203,7 +204,8 @@ impl Core {
     /// Notification from the hierarchy that a pending access finished.
     pub fn on_memory_complete(&mut self, access: AccessId) {
         self.retry_stalled = false;
-        if let Some(seq) = self.outstanding.remove(&access) {
+        if let Ok(at) = self.outstanding.binary_search_by_key(&access, |&(id, _)| id) {
+            let (_, seq) = self.outstanding.remove(at);
             self.mark_done(seq);
         }
     }
@@ -336,7 +338,8 @@ impl Core {
                     // them done); their background fill completion is mapped
                     // to a sentinel seq that mark_done ignores.
                     let seq = if op.is_store { u64::MAX } else { op.seq };
-                    self.outstanding.insert(id, seq);
+                    let at = self.outstanding.partition_point(|&(a, _)| a < id);
+                    self.outstanding.insert(at, (id, seq));
                     self.note_issue(op);
                     self.waiting.remove(i);
                     issued += 1;

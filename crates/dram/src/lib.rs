@@ -15,7 +15,7 @@
 //! in the paper (Fig. 2a), so the scheduler and timing machinery are the
 //! most carefully tested part of the reproduction.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 pub mod audit;

@@ -10,6 +10,8 @@
 //! (d) graceful shutdown drains in-flight work, and `/metrics` exposes
 //!     queue depth, cache and dedup counters, and latency histograms.
 
+#![allow(clippy::disallowed_methods, reason = "test deadlines are host wall-clock timeouts")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -2,16 +2,16 @@
 //!
 //! Every suppression is explicit and carries a reason — the point of the
 //! file is that `git log -p lint-allow.toml` reads as a review trail of
-//! every exception ever granted to the determinism/timing/telemetry
+//! every exception ever granted to the fidelity/timing/telemetry
 //! contracts. Format (parsed by hand; the build is offline so there is no
 //! `toml` crate):
 //!
 //! ```toml
 //! [[allow]]
-//! lint = "D02"                      # required: a catalog lint ID
-//! path = "crates/system/src/server.rs"  # required: repo-relative path
-//! ident = "Instant"                 # optional: anchor identifier
-//! reason = "wall-clock only feeds a debug eprintln, never simulated state"
+//! lint = "C01"                      # required: a catalog lint ID
+//! path = "crates/cxl/src/config.rs" # required: repo-relative path
+//! ident = "name"                    # optional: anchor identifier
+//! reason = "report-only label, not a parameter the link could enforce"
 //! ```
 //!
 //! `path` must match the finding's path exactly, or — when it ends with
@@ -130,30 +130,30 @@ mod tests {
     const GOOD: &str = r#"
 # trailing comments are fine
 [[allow]]
-lint = "D02"  # wall clock
-path = "crates/system/src/server.rs"
-ident = "Instant"
-reason = "debug timer feeding eprintln only, never simulated state"
+lint = "C01"  # report label
+path = "crates/cxl/src/config.rs"
+ident = "name"
+reason = "report-only label, not a parameter the link could enforce"
 "#;
 
     #[test]
     fn parses_a_valid_entry() {
         let es = parse(GOOD).unwrap();
         assert_eq!(es.len(), 1);
-        assert_eq!(es[0].lint, "D02");
-        assert_eq!(es[0].ident.as_deref(), Some("Instant"));
+        assert_eq!(es[0].lint, "C01");
+        assert_eq!(es[0].ident.as_deref(), Some("name"));
     }
 
     #[test]
     fn missing_reason_is_rejected() {
-        let bad = "[[allow]]\nlint = \"D01\"\npath = \"x.rs\"\n";
+        let bad = "[[allow]]\nlint = \"E01\"\npath = \"x.rs\"\n";
         let err = parse(bad).unwrap_err();
         assert!(err.contains("reason"), "{err}");
     }
 
     #[test]
     fn short_reason_is_rejected() {
-        let bad = "[[allow]]\nlint = \"D01\"\npath = \"x.rs\"\nreason = \"ok\"\n";
+        let bad = "[[allow]]\nlint = \"E01\"\npath = \"x.rs\"\nreason = \"ok\"\n";
         assert!(parse(bad).unwrap_err().contains("reason"));
     }
 
@@ -165,21 +165,21 @@ reason = "debug timer feeding eprintln only, never simulated state"
 
     #[test]
     fn unknown_key_is_rejected() {
-        let bad = "[[allow]]\nlint = \"D01\"\npath = \"x.rs\"\nreasn = \"typo key here\"\n";
+        let bad = "[[allow]]\nlint = \"E01\"\npath = \"x.rs\"\nreasn = \"typo key here\"\n";
         assert!(parse(bad).unwrap_err().contains("unknown key"));
     }
 
     #[test]
     fn prefix_and_ident_matching() {
         let e = AllowEntry {
-            lint: "D01".into(),
+            lint: "E01".into(),
             path: "crates/sim/*".into(),
             ident: Some("map".into()),
             reason: "r".into(),
             line: 1,
         };
         let f = Finding {
-            id: "D01",
+            id: "E01",
             path: "crates/sim/src/lru.rs".into(),
             line: 10,
             ident: "map".into(),
@@ -187,6 +187,6 @@ reason = "debug timer feeding eprintln only, never simulated state"
         };
         assert!(e.matches(&f));
         assert!(!e.matches(&Finding { ident: "other".into(), ..f.clone() }));
-        assert!(!e.matches(&Finding { id: "D02", ..f }));
+        assert!(!e.matches(&Finding { id: "E02", ..f }));
     }
 }

@@ -25,7 +25,7 @@ pub fn code_toks(src: &str) -> Vec<Tok> {
 pub struct FieldDef {
     pub name: String,
     /// Type text, tokens joined with spaces (`Vec < u64 >`). Used for
-    /// contains-checks (`HashMap`), not re-parsed.
+    /// contains-checks (`Mutex`, `Cycle`), not re-parsed.
     pub ty: String,
     pub is_pub: bool,
     pub line: u32,

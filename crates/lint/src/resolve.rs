@@ -73,8 +73,6 @@ pub struct TyRes {
 /// Signature facts for one fn or method.
 #[derive(Debug, Clone, Default)]
 pub struct FnInfo {
-    /// Return type text as written (space-joined tokens).
-    pub ret_raw: String,
     /// Resolved return type, `Self` mapped to the owner.
     pub ret: Option<String>,
 }
@@ -174,11 +172,8 @@ impl Resolver {
                 ));
             }
         }
-        for (owner, name, ret_raw, _) in &raw_methods {
-            r.methods
-                .entry(owner.clone())
-                .or_default()
-                .insert(name.clone(), FnInfo { ret_raw: ret_raw.clone(), ret: None });
+        for (owner, name, _, _) in &raw_methods {
+            r.methods.entry(owner.clone()).or_default().insert(name.clone(), FnInfo { ret: None });
         }
 
         // Phase 3: resolve declared types now that every def is indexed.
@@ -196,7 +191,7 @@ impl Resolver {
         }
         for (fq, ret_raw, module) in &raw_fns {
             let ret = r.resolve_ret(module, None, ret_raw);
-            r.fns.insert(fq.clone(), FnInfo { ret_raw: ret_raw.clone(), ret });
+            r.fns.insert(fq.clone(), FnInfo { ret });
         }
         let resolved_rets: Vec<(String, String, Option<String>)> = raw_methods
             .iter()
@@ -508,38 +503,6 @@ impl Resolver {
 
     pub fn method(&self, owner: &str, name: &str) -> Option<&FnInfo> {
         self.methods.get(owner)?.get(name)
-    }
-
-    /// Fns and methods whose declared return type is a hash collection.
-    pub fn hash_returning_fqs(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for (fq, info) in &self.fns {
-            if info.ret_raw.contains("HashMap") || info.ret_raw.contains("HashSet") {
-                out.insert(fq.clone());
-            }
-        }
-        for (owner, ms) in &self.methods {
-            for (name, info) in ms {
-                if info.ret_raw.contains("HashMap") || info.ret_raw.contains("HashSet") {
-                    out.insert(format!("{owner}::{name}"));
-                }
-            }
-        }
-        out
-    }
-
-    /// The import aliases of the module owning `rel`, with each alias's
-    /// resolution — the D01 rename-taint and Z01 per-file trait lookups.
-    pub fn aliases_of(&self, rel: &str) -> Vec<(String, Res)> {
-        let Some(module) = self.module_of(rel) else { return Vec::new() };
-        let Some(m) = self.modules.get(module) else { return Vec::new() };
-        m.imports
-            .iter()
-            .map(|(alias, path)| {
-                let segs: Vec<&str> = path.iter().map(String::as_str).collect();
-                (alias.clone(), self.resolve_import(module, &segs, RESOLVE_DEPTH))
-            })
-            .collect()
     }
 }
 

@@ -17,34 +17,6 @@ use crate::Finding;
 /// Crates whose `src/` trees hold simulated state and timing arithmetic.
 const MODEL_CRATES: &[&str] = &["cpu", "cache", "dram", "cxl", "system", "workloads"];
 
-/// Iteration methods on hash collections whose visit order is randomized.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
-/// Idents that smuggle ambient nondeterminism into a model crate.
-const ENTROPY_IDENTS: &[&str] = &[
-    "SystemTime",
-    "Instant",
-    "RandomState",
-    "DefaultHasher",
-    "thread_rng",
-    "from_entropy",
-    "getrandom",
-];
-
-/// Cast targets that can silently truncate a `u64`/`usize` cycle value.
-const NARROW_INTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
 /// Snake-case segments that mark an identifier as cycle/latency-carrying.
 const TIMING_SEGMENTS: &[&str] = &[
     "cycle",
@@ -71,8 +43,6 @@ const TIMING_SEGMENTS: &[&str] = &[
 pub struct FileCtx<'a> {
     pub rel: &'a str,
     pub src: &'a str,
-    /// Raw tokens including comments (U01 needs them).
-    pub toks: Vec<Tok>,
     /// Comment-stripped tokens — the index space of `items` body spans.
     pub code: Vec<Tok>,
     /// Parsed item tree (see [`crate::parser`]).
@@ -81,10 +51,9 @@ pub struct FileCtx<'a> {
 
 impl<'a> FileCtx<'a> {
     pub fn new(rel: &'a str, src: &'a str) -> Self {
-        let toks = crate::lexer::lex(src);
-        let code: Vec<Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).cloned().collect();
+        let code = parser::code_toks(src);
         let items = parser::parse_items(&code);
-        Self { rel, src, toks, code, items }
+        Self { rel, src, code, items }
     }
 
     fn finding(&self, id: &'static str, line: u32, ident: &str, message: String) -> Finding {
@@ -94,15 +63,6 @@ impl<'a> FileCtx<'a> {
 
 pub fn in_model_src(rel: &str) -> bool {
     MODEL_CRATES.iter().any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-}
-
-/// D01 scope: anything that feeds simulated state or serialized output —
-/// model crates, the sim substrate, telemetry export, and the CLI.
-fn in_determinism_scope(rel: &str) -> bool {
-    in_model_src(rel)
-        || rel.starts_with("crates/sim/src/")
-        || rel.starts_with("crates/telemetry/src/")
-        || rel.starts_with("src/")
 }
 
 fn in_timing_scope(rel: &str) -> bool {
@@ -124,9 +84,7 @@ fn is_timing_ident(ident: &str) -> bool {
 }
 
 /// Run every per-file rule that applies to `ctx.rel`. The workspace graph
-/// supplies the cross-file facts the ported rules resolve through: fns
-/// returning hash collections (D01) and the real sink trait's method set
-/// (Z01).
+/// supplies the real sink trait's method set (Z01).
 pub fn lint_file(ctx: &FileCtx, ws: &Workspace) -> Vec<Finding> {
     let mut timings = std::collections::BTreeMap::new();
     lint_file_timed(ctx, ws, &mut timings)
@@ -145,20 +103,8 @@ pub fn lint_file_timed(
         *timings.entry(id).or_default() += t0.elapsed();
         fs
     };
-    if in_determinism_scope(ctx.rel) {
-        // Resolved linkage: the visible-name set includes `use … as`
-        // rename aliases of hash-returning fns and drops names shadowed
-        // by provably non-hash locals.
-        out.extend(timed("D01", &mut || check_d01(ctx, &ws.hash_fn_names_for(ctx.rel))));
-    }
-    if in_model_src(ctx.rel) {
-        out.extend(timed("D02", &mut || check_d02(ctx)));
-    }
-    if in_timing_scope(ctx.rel) {
-        out.extend(timed("T01", &mut || check_t01(ctx)));
-        if !in_stats_layer(ctx.rel) {
-            out.extend(timed("T02", &mut || check_t02(ctx)));
-        }
+    if in_timing_scope(ctx.rel) && !in_stats_layer(ctx.rel) {
+        out.extend(timed("T02", &mut || check_t02(ctx)));
     }
     if in_model_src(ctx.rel) && ctx.src.contains("TelemetrySink") {
         let sinks = ws
@@ -166,7 +112,6 @@ pub fn lint_file_timed(
             .unwrap_or_else(|| SINK_METHODS.iter().map(|s| (*s).to_string()).collect());
         out.extend(timed("Z01", &mut || check_z01(ctx, &sinks)));
     }
-    out.extend(timed("U01", &mut || check_u01(ctx)));
     out
 }
 
@@ -189,7 +134,7 @@ pub fn lint_cross_file_timed(
         *timings.entry(id).or_default() += t0.elapsed();
         fs
     };
-    out.extend(timed("C01", &mut || lint_cross_reference(ws)));
+    out.extend(timed("C01", &mut || lint_cross_reference(ws, C01_SPECS)));
     out.extend(timed("E01", &mut || check_e01(ws, E01_STRUCTS)));
     out.extend(timed("E02", &mut || check_e02(ws, &E02_SPEC)));
     out.extend(timed("E03", &mut || check_e03(ws, &E03_SPEC)));
@@ -212,236 +157,7 @@ pub fn lint_cross_file_timed(
 }
 
 // ---------------------------------------------------------------------------
-// D01 — HashMap/HashSet iteration
-// ---------------------------------------------------------------------------
-
-/// Names bound to `HashMap`/`HashSet` in this file: struct fields and
-/// `let` bindings, via a type annotation, a `Hash*::new()`-style
-/// initializer, or (through the symbol table) an initializer that calls a
-/// function whose return type is a hash collection.
-fn hash_bound_names(code: &[Tok], hash_fns: &BTreeSet<String>) -> Vec<String> {
-    let mut names = Vec::new();
-    for i in 0..code.len() {
-        if !(code[i].is_ident("HashMap") || code[i].is_ident("HashSet")) {
-            continue;
-        }
-        // `name: [std::collections::] HashMap<...>` — walk back over the
-        // path to the annotated name.
-        let mut j = i;
-        while j > 0
-            && (code[j - 1].is_punct(':')
-                || code[j - 1].is_ident("std")
-                || code[j - 1].is_ident("collections"))
-        {
-            j -= 1;
-        }
-        if j < i && j > 0 && code[j - 1].kind == TokKind::Ident {
-            names.push(code[j - 1].text.clone());
-            continue;
-        }
-        // `let [mut] name = [...] HashMap::new()` — walk back to the `let`.
-        let mut k = i;
-        let floor = i.saturating_sub(24);
-        while k > floor
-            && !code[k - 1].is_ident("let")
-            && !code[k - 1].is_punct(';')
-            && !code[k - 1].is_punct('{')
-            && !code[k - 1].is_punct('}')
-        {
-            k -= 1;
-        }
-        if k > 0 && code[k - 1].is_ident("let") {
-            let name = if code[k].is_ident("mut") { code.get(k + 1) } else { Some(&code[k]) };
-            if let Some(t) = name {
-                if t.kind == TokKind::Ident {
-                    names.push(t.text.clone());
-                }
-            }
-        }
-    }
-    // `let [mut] name = … hash_returning_fn(…) …;` — a binding whose
-    // initializer goes through a function/method that returns a hash
-    // collection (the false negative the per-file heuristic used to have).
-    for i in 0..code.len() {
-        if !code[i].is_ident("let") {
-            continue;
-        }
-        let mut j = i + 1;
-        if code.get(j).is_some_and(|t| t.is_ident("mut")) {
-            j += 1;
-        }
-        let Some(name) = code.get(j).filter(|t| t.kind == TokKind::Ident) else { continue };
-        // Find the `=` of the binding (skipping a `: Type` annotation),
-        // then scan the initializer up to the statement's `;`.
-        let mut k = j + 1;
-        let mut depth = 0i32;
-        while k < code.len() && !(depth == 0 && (code[k].is_punct('=') || code[k].is_punct(';'))) {
-            bracket_depth(&code[k], &mut depth);
-            k += 1;
-        }
-        if !code.get(k).is_some_and(|t| t.is_punct('=')) {
-            continue;
-        }
-        let mut m = k + 1;
-        depth = 0;
-        let mut calls_hash_fn = false;
-        while m < code.len() && !(depth == 0 && code[m].is_punct(';')) {
-            if code[m].kind == TokKind::Ident
-                && code.get(m + 1).is_some_and(|n| n.is_punct('('))
-                && hash_fns.contains(&code[m].text)
-            {
-                calls_hash_fn = true;
-            }
-            bracket_depth(&code[m], &mut depth);
-            m += 1;
-        }
-        if calls_hash_fn {
-            names.push(name.text.clone());
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-fn bracket_depth(t: &Tok, depth: &mut i32) {
-    if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-        *depth += 1;
-    } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-        *depth -= 1;
-    }
-}
-
-/// Index of the `(` opening the call whose `)` sits at `close`.
-fn open_paren_of(code: &[Tok], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = close;
-    loop {
-        if code[j].is_punct(')') {
-            depth += 1;
-        } else if code[j].is_punct('(') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        if j == 0 {
-            return None;
-        }
-        j -= 1;
-    }
-}
-
-pub fn check_d01(ctx: &FileCtx, hash_fns: &BTreeSet<String>) -> Vec<Finding> {
-    let code = &ctx.code;
-    let names = hash_bound_names(code, hash_fns);
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        let t = &code[i];
-        // Direct iteration of a hash-returning call's result:
-        // `build_map(…).iter()` never names a binding, so resolve the
-        // receiver through the symbol table.
-        if t.is_punct('.')
-            && ITER_METHODS.iter().any(|m| code.get(i + 1).is_some_and(|n| n.is_ident(m)))
-            && code.get(i + 2).is_some_and(|n| n.is_punct('('))
-            && i > 0
-            && code[i - 1].is_punct(')')
-        {
-            if let Some(open) = open_paren_of(code, i - 1) {
-                if open > 0
-                    && code[open - 1].kind == TokKind::Ident
-                    && hash_fns.contains(&code[open - 1].text)
-                {
-                    out.push(ctx.finding(
-                        "D01",
-                        code[open - 1].line,
-                        &code[open - 1].text,
-                        format!(
-                            "`{}(…).{}()` iterates the hash collection returned by `{}`; visit \
-                             order is randomized per process — use BTreeMap/BTreeSet or \
-                             collect-and-sort",
-                            code[open - 1].text,
-                            code[i + 1].text,
-                            code[open - 1].text
-                        ),
-                    ));
-                }
-            }
-        }
-        if t.kind != TokKind::Ident || !names.contains(&t.text) {
-            continue;
-        }
-        // `name.iter()` / `name.keys()` / ...
-        if i + 2 < code.len()
-            && code[i + 1].is_punct('.')
-            && ITER_METHODS.iter().any(|m| code[i + 2].is_ident(m))
-            && code.get(i + 3).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(ctx.finding(
-                "D01",
-                t.line,
-                &t.text,
-                format!(
-                    "`{}.{}()` iterates a hash collection; visit order is randomized per \
-                     process — use BTreeMap/BTreeSet or collect-and-sort",
-                    t.text,
-                    code[i + 2].text
-                ),
-            ));
-        }
-        // `for x in [&[mut]] name {`
-        let mut j = i;
-        while j > 0 && (code[j - 1].is_punct('&') || code[j - 1].is_ident("mut")) {
-            j -= 1;
-        }
-        if j > 0 && code[j - 1].is_ident("in") && code.get(i + 1).is_some_and(|t| t.is_punct('{')) {
-            out.push(ctx.finding(
-                "D01",
-                t.line,
-                &t.text,
-                format!(
-                    "`for … in {}` iterates a hash collection; visit order is randomized per \
-                     process — use BTreeMap/BTreeSet or collect-and-sort",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// D02 — ambient nondeterminism
-// ---------------------------------------------------------------------------
-
-pub fn check_d02(ctx: &FileCtx) -> Vec<Finding> {
-    let code = &ctx.code;
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit = ENTROPY_IDENTS.contains(&t.text.as_str())
-            || (t.is_ident("rand") && code.get(i + 1).is_some_and(|n| n.is_punct(':')));
-        if hit {
-            out.push(ctx.finding(
-                "D02",
-                t.line,
-                &t.text,
-                format!(
-                    "`{}` injects wall-clock time or process entropy into a model crate; \
-                     model randomness must come from the seeded coaxial-sim RNG",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// T01 / T02 — timing arithmetic
+// T02 — timing arithmetic
 // ---------------------------------------------------------------------------
 
 /// Idents reachable walking left from position `i` (exclusive) through a
@@ -469,15 +185,6 @@ fn chain_idents(code: &[Tok], i: usize) -> Vec<&str> {
         j -= 1;
     }
     idents
-}
-
-pub fn check_t01(ctx: &FileCtx) -> Vec<Finding> {
-    cast_rule(ctx, "T01", NARROW_INTS, |src, dst| {
-        format!(
-            "`{src} as {dst}` can silently truncate a cycle/latency value (u64 wraps after \
-             ~1.8 s of simulated time); use try_into() or widen the destination"
-        )
-    })
 }
 
 /// Segments marking an identifier as a *raw* cycle/tick quantity (for
@@ -562,30 +269,6 @@ pub fn check_t02(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-fn cast_rule(
-    ctx: &FileCtx,
-    id: &'static str,
-    targets: &[&str],
-    msg: impl Fn(&str, &str) -> String,
-) -> Vec<Finding> {
-    let code = &ctx.code;
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        if !code[i].is_ident("as") || i + 1 >= code.len() {
-            continue;
-        }
-        let dst = &code[i + 1];
-        if !targets.iter().any(|t| dst.is_ident(t)) {
-            continue;
-        }
-        let chain = chain_idents(code, i);
-        if let Some(src) = chain.iter().find(|id| is_timing_ident(id)) {
-            out.push(ctx.finding(id, code[i].line, src, msg(src, &dst.text)));
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Z01 — telemetry guard domination
 // ---------------------------------------------------------------------------
@@ -641,156 +324,65 @@ pub fn check_z01(ctx: &FileCtx, sink_methods: &[String]) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// U01 — SAFETY comments on unsafe
-// ---------------------------------------------------------------------------
-
-pub fn check_u01(ctx: &FileCtx) -> Vec<Finding> {
-    let lines: Vec<&str> = ctx.src.lines().collect();
-    let mut out = Vec::new();
-    for t in &ctx.toks {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let line_idx = (t.line as usize).saturating_sub(1);
-        // Trailing comment on the same line counts.
-        let mut ok = lines.get(line_idx).is_some_and(|l| l.contains("SAFETY:"));
-        // Otherwise scan the contiguous comment/attribute block above.
-        let mut i = line_idx;
-        while !ok && i > 0 {
-            i -= 1;
-            let l = lines[i].trim();
-            if l.starts_with("//") || l.starts_with("*") || l.ends_with("*/") {
-                ok = l.contains("SAFETY:");
-                if ok {
-                    break;
-                }
-            } else if l.starts_with("#[") || l.is_empty() {
-                continue;
-            } else {
-                break;
-            }
-        }
-        if !ok {
-            out.push(
-                ctx.finding(
-                    "U01",
-                    t.line,
-                    "unsafe",
-                    "`unsafe` without a `// SAFETY:` comment stating the invariant relied on"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // C01 — declared-but-unenforced fidelity parameters (DDR5 timings, CXL link)
 // ---------------------------------------------------------------------------
 
-/// Field names (with lines) of `struct <name> { … }` in `src` — legacy
-/// token-level helper kept for the direct [`check_c01`] entry point.
-pub fn struct_fields(src: &str, name: &str) -> Vec<(String, u32)> {
-    let code = parser::code_toks(src);
-    let items = parser::parse_items(&code);
-    fn find(items: &[Item], name: &str) -> Vec<(String, u32)> {
-        for item in items {
-            match &item.kind {
-                parser::ItemKind::Struct { fields } if item.name == name => {
-                    return fields.iter().map(|f| (f.name.clone(), f.line)).collect();
-                }
-                parser::ItemKind::Impl { items: inner, .. }
-                | parser::ItemKind::Trait { items: inner }
-                | parser::ItemKind::Mod { items: inner, .. } => {
-                    let found = find(inner, name);
-                    if !found.is_empty() {
-                        return found;
-                    }
-                }
-                _ => {}
-            }
-        }
-        Vec::new()
-    }
-    find(&items, name)
+/// C01 rule spec: a fidelity-critical config struct and the files whose
+/// code must enforce (read) every one of its fields.
+pub struct ConstraintSpec<'a> {
+    pub struct_name: &'a str,
+    pub config_rel: &'a str,
+    pub enforce_rels: &'a [&'a str],
 }
 
-/// C01 core: every field of `struct_name` (declared in `config_src`) must
-/// appear as an identifier in at least one of `enforce_srcs`.
-pub fn check_c01(
-    config_rel: &str,
-    config_src: &str,
-    struct_name: &str,
-    enforce_srcs: &[(&str, &str)],
-) -> Vec<Finding> {
-    let fields = struct_fields(config_src, struct_name);
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    for (_, src) in enforce_srcs {
-        for t in parser::code_toks(src) {
-            if t.kind == TokKind::Ident {
-                used.insert(t.text);
-            }
-        }
-    }
-    let files: Vec<&str> = enforce_srcs.iter().map(|(n, _)| *n).collect();
-    c01_findings(config_rel, struct_name, &fields, &used, &files.join(", "))
-}
-
-fn c01_findings(
-    config_rel: &str,
-    struct_name: &str,
-    fields: &[(String, u32)],
-    used: &BTreeSet<String>,
-    files_label: &str,
-) -> Vec<Finding> {
-    fields
-        .iter()
-        .filter(|(f, _)| !used.contains(f))
-        .map(|(f, line)| Finding {
-            id: "C01",
-            path: config_rel.to_string(),
-            line: *line,
-            ident: f.clone(),
-            message: format!(
-                "fidelity parameter `{struct_name}.{f}` is declared but never read by the \
-                 enforcing code ({files_label}) — a declared-but-unenforced parameter is a \
-                 silent fidelity bug"
-            ),
-        })
-        .collect()
-}
-
-/// C01 pairs: each fidelity-critical config struct against the code that
-/// must enforce it, resolved through the workspace symbol graph.
-const C01_PAIRS: &[(&str, &str, &[&str])] = &[
-    (
-        "DramTimings",
-        "crates/dram/src/config.rs",
-        &["crates/dram/src/bank.rs", "crates/dram/src/subchannel.rs", "crates/dram/src/channel.rs"],
-    ),
-    (
-        "CxlLinkConfig",
-        "crates/cxl/src/config.rs",
-        &["crates/cxl/src/channel.rs", "crates/cxl/src/memory.rs"],
-    ),
+/// The real tree's C01 specs.
+pub const C01_SPECS: &[ConstraintSpec<'static>] = &[
+    ConstraintSpec {
+        struct_name: "DramTimings",
+        config_rel: "crates/dram/src/config.rs",
+        enforce_rels: &[
+            "crates/dram/src/bank.rs",
+            "crates/dram/src/subchannel.rs",
+            "crates/dram/src/channel.rs",
+        ],
+    },
+    ConstraintSpec {
+        struct_name: "CxlLinkConfig",
+        config_rel: "crates/cxl/src/config.rs",
+        enforce_rels: &["crates/cxl/src/channel.rs", "crates/cxl/src/memory.rs"],
+    },
 ];
 
-/// Workspace C01: run every configured pair over the symbol graph.
-pub fn lint_cross_reference(ws: &Workspace) -> Vec<Finding> {
+/// C01: every field of each spec's struct must appear as an identifier in
+/// at least one of its enforcing files (name-based credit, see
+/// docs/LINTS.md).
+pub fn lint_cross_reference(ws: &Workspace, specs: &[ConstraintSpec]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (struct_name, config_rel, enforce) in C01_PAIRS {
-        let Some(def) = ws.struct_def(config_rel, struct_name) else { continue };
-        let mut used: BTreeSet<String> = BTreeSet::new();
-        for rel in *enforce {
+    for spec in specs {
+        let Some(def) = ws.struct_def(spec.config_rel, spec.struct_name) else { continue };
+        let mut used: BTreeSet<&str> = BTreeSet::new();
+        for rel in spec.enforce_rels {
             if let Some(syms) = ws.files.get(*rel) {
-                used.extend(syms.idents.iter().cloned());
+                used.extend(syms.idents.iter().map(String::as_str));
             }
         }
-        let fields: Vec<(String, u32)> =
-            def.fields.iter().map(|f| (f.name.clone(), f.line)).collect();
-        let label: Vec<&str> = enforce.iter().map(|r| r.rsplit('/').next().unwrap_or(r)).collect();
-        out.extend(c01_findings(config_rel, struct_name, &fields, &used, &label.join(", ")));
+        let label: Vec<&str> =
+            spec.enforce_rels.iter().map(|r| r.rsplit('/').next().unwrap_or(r)).collect();
+        let label = label.join(", ");
+        out.extend(def.fields.iter().filter(|f| !used.contains(f.name.as_str())).map(|f| {
+            Finding {
+                id: "C01",
+                path: spec.config_rel.to_string(),
+                line: f.line,
+                ident: f.name.clone(),
+                message: format!(
+                    "fidelity parameter `{}.{}` is declared but never read by the \
+                     enforcing code ({label}) — a declared-but-unenforced parameter is a \
+                     silent fidelity bug",
+                    spec.struct_name, f.name
+                ),
+            }
+        }));
     }
     out
 }
@@ -1923,8 +1515,9 @@ pub fn check_e05(ws: &Workspace, ctxs: &[FileCtx], spec: &CliReachSpec) -> Vec<F
     let g = CallGraph::build(ws, |_| true);
     let arms = cli_arms(&ctx.code, body);
 
-    // Per arm: frontier-crossing entry set (first lib node on each path
-    // out of the binary) and the full reachable set.
+    // Per arm: the entry set is every library fn reachable from the arm's
+    // call sites (not just the first library node on each path), and the
+    // union of everything reachable from any arm feeds check (c).
     let mut arm_entries: Vec<(String, u32, BTreeSet<String>)> = Vec::new();
     let mut reach_union: BTreeSet<String> = BTreeSet::new();
     for arm in &arms {

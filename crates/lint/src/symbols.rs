@@ -123,8 +123,6 @@ pub struct FnSym {
     /// Body token span in the file's code-token vector.
     pub body: Option<(usize, usize)>,
     pub params: Vec<String>,
-    /// Return type mentions `HashMap`/`HashSet` (feeds lint D01).
-    pub returns_hash: bool,
     /// Free-fn and method call targets, by final name segment.
     pub calls: BTreeSet<String>,
     /// Resolved call targets by fq (resolved linkage only).
@@ -224,50 +222,6 @@ impl Workspace {
     pub fn from_sources_linked(sources: &[(&str, &str)], linkage: Linkage) -> Self {
         let ctxs: Vec<FileCtx> = sources.iter().map(|(rel, src)| FileCtx::new(rel, src)).collect();
         Self::from_ctxs_linked(&ctxs, linkage)
-    }
-
-    /// Names of fns (anywhere) whose return type is a hash collection.
-    pub fn hash_returning_fns(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for syms in self.files.values() {
-            for f in &syms.fns {
-                if f.returns_hash {
-                    out.insert(f.name.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// The hash-returning fn names *visible in `rel`*: the global name
-    /// set, plus import aliases that resolve to hash-returning fns
-    /// (`use crate::index::build_index as bi` taints `bi`), minus names
-    /// that resolve in this file to a specifically non-hash fn.
-    pub fn hash_fn_names_for(&self, rel: &str) -> BTreeSet<String> {
-        let mut out = self.hash_returning_fns();
-        let Some(r) = &self.resolver else { return out };
-        let hash_fqs = r.hash_returning_fqs();
-        for (alias, res) in r.aliases_of(rel) {
-            match res {
-                Res::Fn(fq) if hash_fqs.contains(&fq) => {
-                    out.insert(alias);
-                }
-                // An alias shadowing a global hash-fn name with a
-                // provably different, non-hash target un-taints it.
-                Res::Fn(fq) => {
-                    out.remove(&alias);
-                    let _ = fq;
-                }
-                _ => {}
-            }
-        }
-        if let Some(module) = r.module_of(rel) {
-            out.retain(|name| match r.resolve_path(module, &[name], 8) {
-                Res::Fn(fq) => hash_fqs.contains(&fq),
-                _ => true, // methods/unknowns keep the conservative taint
-            });
-        }
-        out
     }
 
     /// Method names of the `TelemetrySink`-style trait as seen from
@@ -859,7 +813,6 @@ fn analyze_fn(
         is_pub: item.is_pub,
         body: def.body,
         params: def.params.clone(),
-        returns_hash: def.ret.contains("HashMap") || def.ret.contains("HashSet"),
         calls: BTreeSet::new(),
         calls_fq: BTreeSet::new(),
         calls_unresolved: BTreeSet::new(),
@@ -1282,13 +1235,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_returning_fns_and_trait_methods() {
+    fn trait_methods_are_read_from_the_definition() {
         let ws = Workspace::from_sources(&[(
             "crates/x/src/lib.rs",
-            "pub trait TelemetrySink { fn on_miss(&mut self); fn on_reset(&mut self); }\n\
-             fn build() -> HashMap<u64, u64> { HashMap::new() }",
+            "pub trait TelemetrySink { fn on_miss(&mut self); fn on_reset(&mut self); }",
         )]);
-        assert!(ws.hash_returning_fns().contains("build"));
         let methods = ws.trait_method_names("TelemetrySink").unwrap();
         assert_eq!(methods, ["on_miss", "on_reset"]);
     }

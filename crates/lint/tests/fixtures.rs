@@ -36,42 +36,6 @@ fn assert_fires(id: &str, findings: &[Finding], at_least: usize) {
 }
 
 #[test]
-fn d01_bad_fires_good_is_clean() {
-    // `counts.iter()`, `for … in &HashSet`, and two fn-return cases: a
-    // binding initialized from a hash-returning fn and a direct
-    // `build_index().keys()` chain.
-    let hash_fns = |src: &str| {
-        Workspace::from_sources(&[("crates/cache/src/fixture.rs", src)]).hash_returning_fns()
-    };
-    let bad = fixture("d01_bad.rs");
-    let ctx = FileCtx::new("crates/cache/src/fixture.rs", &bad);
-    let findings = rules::check_d01(&ctx, &hash_fns(&bad));
-    assert_fires("D01", &findings, 4);
-    let idents: BTreeSet<&str> = findings.iter().map(|f| f.ident.as_str()).collect();
-    assert!(idents.contains("idx"), "fn-return binding resolved: {findings:#?}");
-    assert!(idents.contains("build_index"), "direct call chain resolved: {findings:#?}");
-
-    let good = fixture("d01_good.rs");
-    let ctx = FileCtx::new("crates/cache/src/fixture.rs", &good);
-    assert_eq!(rules::check_d01(&ctx, &hash_fns(&good)), vec![]);
-}
-
-#[test]
-fn d02_bad_fires_good_is_clean() {
-    // Instant (twice: import + use) and SystemTime.
-    assert_fires("D02", &run(rules::check_d02, "d02_bad.rs"), 2);
-    assert_eq!(run(rules::check_d02, "d02_good.rs"), vec![]);
-}
-
-#[test]
-fn t01_bad_fires_good_is_clean() {
-    // Both `total_cycles as u32` and `latency as u32`.
-    assert_fires("T01", &run(rules::check_t01, "t01_bad.rs"), 2);
-    // try_into and a non-timing `core_id as u8` are fine.
-    assert_eq!(run(rules::check_t01, "t01_good.rs"), vec![]);
-}
-
-#[test]
 fn t02_bad_fires_good_is_clean() {
     // Float storage (`total_latency_cycles: f64`) and float accumulation
     // (`+= latency as f64`).
@@ -89,13 +53,6 @@ fn z01_bad_fires_good_is_clean() {
     assert_fires("Z01", &bad, 1);
     assert!(bad[0].ident == "on_miss", "the unguarded call is the on_miss: {bad:#?}");
     assert_eq!(run(|ctx| rules::check_z01(ctx, &sinks), "z01_good.rs"), vec![]);
-}
-
-#[test]
-fn u01_bad_fires_good_is_clean() {
-    assert_fires("U01", &run(rules::check_u01, "u01_bad.rs"), 1);
-    // SAFETY directly above, and SAFETY above with an attribute between.
-    assert_eq!(run(rules::check_u01, "u01_good.rs"), vec![]);
 }
 
 /// Run the unit dataflow rules on one fixture file as a tiny workspace.
@@ -136,16 +93,26 @@ fn q03_bad_fires_good_is_clean() {
     assert_eq!(good.q03, vec![], "a converted write satisfies the name's claim");
 }
 
+/// Run C01 on a two-file fixture workspace: `config` as the config file
+/// and `c01/constraints.rs` as its only enforcing file.
+fn run_c01(config: &str) -> Vec<Finding> {
+    let spec = [rules::ConstraintSpec {
+        struct_name: "FixtureTimings",
+        config_rel: "crates/dram/src/config.rs",
+        enforce_rels: &["crates/dram/src/constraints.rs"],
+    }];
+    let config = fixture(config);
+    let constraints = fixture("c01/constraints.rs");
+    let ws = Workspace::from_sources(&[
+        ("crates/dram/src/config.rs", &config),
+        ("crates/dram/src/constraints.rs", &constraints),
+    ]);
+    rules::lint_cross_reference(&ws, &spec)
+}
+
 #[test]
 fn c01_orphaned_timing_parameter_is_caught() {
-    let config = fixture("c01/config_bad.rs");
-    let constraints = fixture("c01/constraints.rs");
-    let findings = rules::check_c01(
-        "c01/config_bad.rs",
-        &config,
-        "FixtureTimings",
-        &[("constraints.rs", &constraints)],
-    );
+    let findings = run_c01("c01/config_bad.rs");
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert_eq!(findings[0].id, "C01");
     assert_eq!(findings[0].ident, "t_orphan");
@@ -153,83 +120,62 @@ fn c01_orphaned_timing_parameter_is_caught() {
 
 #[test]
 fn c01_fully_enforced_config_is_clean() {
-    let config = fixture("c01/config_good.rs");
-    let constraints = fixture("c01/constraints.rs");
-    let findings = rules::check_c01(
-        "c01/config_good.rs",
-        &config,
-        "FixtureTimings",
-        &[("constraints.rs", &constraints)],
-    );
-    assert_eq!(findings, vec![]);
+    assert_eq!(run_c01("c01/config_good.rs"), vec![]);
+}
+
+/// C01 over the real tree with `from` renamed to `to` in each of `rels`,
+/// which is equivalent to that code no longer reading the field. Returns
+/// the `(path, ident)` of every finding.
+fn real_tree_c01(rels: &[&str], from: &str, to: &str) -> Vec<(String, String)> {
+    let mut sources =
+        coaxial_lint::workspace_sources(std::path::Path::new(&repo_root())).expect("readable tree");
+    for (rel, src) in &mut sources {
+        if rels.contains(&rel.as_str()) {
+            *src = src.replace(from, to);
+        }
+    }
+    let pairs: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+    let ws = Workspace::from_sources(&pairs);
+    rules::lint_cross_reference(&ws, rules::C01_SPECS)
+        .into_iter()
+        .map(|f| (f.path, f.ident))
+        .collect()
+}
+
+/// The untouched tree flags exactly the report-only `CxlLinkConfig.name`
+/// tag (the one field the link pipeline legitimately never reads), which
+/// lint-allow.toml suppresses with that justification.
+fn cxl_name_only() -> Vec<(String, String)> {
+    vec![("crates/cxl/src/config.rs".to_string(), "name".to_string())]
 }
 
 /// C01 against the real tree: deliberately orphaning a DRAM timing
-/// parameter must be caught. We simulate "deleting every read of t_faw"
-/// by renaming the identifier in the constraint sources, which is
-/// equivalent to the constraint code no longer reading it.
+/// parameter must be caught, and the untouched tree is fully enforced.
 #[test]
 fn c01_catches_orphaned_dram_timing_in_real_tree() {
-    let root = repo_root();
-    let read = |rel: &str| std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
-    let config = read("crates/dram/src/config.rs");
-    let bank = read("crates/dram/src/bank.rs");
-    let sub = read("crates/dram/src/subchannel.rs").replace("t_faw", "t_faw_unread");
-    let chan = read("crates/dram/src/channel.rs").replace("t_faw", "t_faw_unread");
-    let bank = bank.replace("t_faw", "t_faw_unread");
-    let findings = rules::check_c01(
-        "crates/dram/src/config.rs",
-        &config,
-        "DramTimings",
-        &[("bank.rs", &bank), ("subchannel.rs", &sub), ("channel.rs", &chan)],
-    );
-    assert_eq!(findings.len(), 1, "only t_faw orphaned: {findings:#?}");
-    assert_eq!(findings[0].ident, "t_faw");
-
-    // And the untouched tree is fully enforced.
-    let sub = read("crates/dram/src/subchannel.rs");
-    let chan = read("crates/dram/src/channel.rs");
-    let bank = read("crates/dram/src/bank.rs");
-    let clean = rules::check_c01(
-        "crates/dram/src/config.rs",
-        &config,
-        "DramTimings",
-        &[("bank.rs", &bank), ("subchannel.rs", &sub), ("channel.rs", &chan)],
-    );
-    assert_eq!(clean, vec![], "every DramTimings field is read by the constraint code");
+    let dram =
+        ["crates/dram/src/bank.rs", "crates/dram/src/subchannel.rs", "crates/dram/src/channel.rs"];
+    let findings = real_tree_c01(&dram, "t_faw", "t_faw_unread");
+    let mut want = vec![("crates/dram/src/config.rs".to_string(), "t_faw".to_string())];
+    want.extend(cxl_name_only());
+    want.sort();
+    let mut got = findings;
+    got.sort();
+    assert_eq!(got, want, "only t_faw orphaned");
+    assert_eq!(real_tree_c01(&[], "", ""), cxl_name_only(), "every DramTimings field is read");
 }
 
 /// C01 against the real CXL tree: orphaning a link-transfer parameter
 /// (same rename trick as the DRAM test above) must be caught.
 #[test]
 fn c01_catches_orphaned_cxl_link_parameter_in_real_tree() {
-    let root = repo_root();
-    let read = |rel: &str| std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
-    let config = read("crates/cxl/src/config.rs");
-    let chan = read("crates/cxl/src/channel.rs").replace("port_latency", "port_latency_unread");
-    let mem = read("crates/cxl/src/memory.rs").replace("port_latency", "port_latency_unread");
-    let findings = rules::check_c01(
-        "crates/cxl/src/config.rs",
-        &config,
-        "CxlLinkConfig",
-        &[("channel.rs", &chan), ("memory.rs", &mem)],
+    let cxl = ["crates/cxl/src/channel.rs", "crates/cxl/src/memory.rs"];
+    let findings = real_tree_c01(&cxl, "port_latency", "port_latency_unread");
+    assert!(
+        findings.iter().any(|(_, ident)| ident == "port_latency"),
+        "orphaned port_latency caught: {findings:#?}"
     );
-    let idents: Vec<&str> = findings.iter().map(|f| f.ident.as_str()).collect();
-    assert!(idents.contains(&"port_latency"), "orphaned port_latency caught: {findings:#?}");
-
-    // The untouched tree flags exactly the report-only `name` tag (the one
-    // CxlLinkConfig field the link pipeline legitimately never reads),
-    // which lint-allow.toml suppresses with that justification.
-    let chan = read("crates/cxl/src/channel.rs");
-    let mem = read("crates/cxl/src/memory.rs");
-    let clean = rules::check_c01(
-        "crates/cxl/src/config.rs",
-        &config,
-        "CxlLinkConfig",
-        &[("channel.rs", &chan), ("memory.rs", &mem)],
-    );
-    let idents: Vec<&str> = clean.iter().map(|f| f.ident.as_str()).collect();
-    assert_eq!(idents, vec!["name"], "every transfer-cost field is read: {clean:#?}");
+    assert_eq!(real_tree_c01(&[], "", ""), cxl_name_only(), "every transfer-cost field is read");
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +553,7 @@ fn sarif_report_shape_is_stable() {
 fn malformed_allow_entry_missing_reason_is_rejected() {
     let bad = r#"
 [[allow]]
-lint = "D01"
+lint = "E01"
 path = "crates/sim/src/lru.rs"
 "#;
     let err = coaxial_lint::allow::parse(bad).unwrap_err();
@@ -687,67 +633,11 @@ fn e04_real_tree_is_clean_and_catches_mutations() {
 }
 
 // ---------------------------------------------------------------------------
-// Resolver-era tests: renamed-import taint, L01/E05 self-tests, cross-link
-// precision, and the ByName-vs-Resolved differential.
+// Resolver-era tests: L01/E05 self-tests, cross-link precision, and the
+// ByName-vs-Resolved differential.
 // ---------------------------------------------------------------------------
 
 use coaxial_lint::resolve::Linkage;
-
-/// D01 must see hash iteration through a `use … as` renamed import: the
-/// alias `bi` is a hash-returning fn even though no fn of that *name*
-/// exists anywhere. Bare-name linking cannot know that — the false
-/// negative the resolver closes.
-#[test]
-fn d01_taint_flows_through_renamed_imports() {
-    let index = "use std::collections::HashMap;\n\
-                 pub fn build_index() -> HashMap<u64, u32> { HashMap::new() }\n";
-    let user = "use crate::index::build_index as bi;\n\
-                pub fn scan() -> Vec<u64> {\n    let m = bi();\n    m.keys().copied().collect()\n}\n";
-    let sources = [
-        ("crates/cache/src/lib.rs", "pub mod index;\npub mod user;\n"),
-        ("crates/cache/src/index.rs", index),
-        ("crates/cache/src/user.rs", user),
-    ];
-    let ctx = FileCtx::new("crates/cache/src/user.rs", user);
-
-    let ws = Workspace::from_sources(&sources);
-    let findings = rules::check_d01(&ctx, &ws.hash_fn_names_for("crates/cache/src/user.rs"));
-    assert_fires("D01", &findings, 1);
-
-    let old = Workspace::from_sources_linked(&sources, Linkage::ByName);
-    assert_eq!(
-        rules::check_d01(&ctx, &old.hash_fn_names_for("crates/cache/src/user.rs")),
-        vec![],
-        "name-based linking cannot see through the rename; if this starts firing, \
-         the differential below needs updating"
-    );
-}
-
-/// An alias that *shadows* a hash-fn name with a provably different,
-/// non-hash target must be un-tainted — the precision half of the same
-/// mechanism.
-#[test]
-fn d01_shadowing_alias_untaints() {
-    let sources = [
-        ("crates/cache/src/lib.rs", "pub mod index;\npub mod user;\n"),
-        (
-            "crates/cache/src/index.rs",
-            "use std::collections::HashMap;\n\
-             pub fn build_index() -> HashMap<u64, u32> { HashMap::new() }\n\
-             pub fn build_list() -> Vec<u64> { Vec::new() }\n",
-        ),
-        (
-            "crates/cache/src/user.rs",
-            "use crate::index::build_list as build_index;\n\
-             pub fn scan() -> Vec<u64> {\n    let m = build_index();\n    m.iter().copied().collect()\n}\n",
-        ),
-    ];
-    let ws = Workspace::from_sources(&sources);
-    let names = ws.hash_fn_names_for("crates/cache/src/user.rs");
-    assert!(!names.contains("build_index"), "shadowed alias still tainted: {names:?}");
-    let ctx = FileCtx::new("crates/cache/src/user.rs", sources[2].1);
-    assert_eq!(rules::check_d01(&ctx, &names), vec![]);
-}
 
 /// L01 self-test on a synthetic gateway crate: heavy work reachable under
 /// a live guard, interprocedural re-acquisition, intra-body

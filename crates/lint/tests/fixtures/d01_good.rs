@@ -1,9 +1,9 @@
-//! D01 good: keyed lookup on a HashMap is fine; iteration uses BTreeMap,
-//! including BTreeMaps that arrive through a function return.
-use std::collections::{BTreeMap, HashMap};
+//! D01 good: ordered collections only, for keyed lookup and iteration
+//! alike, including BTreeMaps that arrive through a function return.
+use std::collections::BTreeMap;
 
 struct Tracker {
-    counts: HashMap<u64, u64>,
+    counts: BTreeMap<u64, u64>,
     ordered: BTreeMap<u64, u64>,
 }
 

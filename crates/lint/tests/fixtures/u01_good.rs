@@ -6,10 +6,11 @@ fn read_first(v: &[u8]) -> u8 {
     unsafe { *v.as_ptr() }
 }
 
-fn hinted(p: *const i8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint and never dereferences.
-    unsafe {
-        let _ = p;
-    }
+fn read_second(v: &[u8]) -> u8 {
+    assert!(v.len() > 1);
+    // SAFETY: the assert above guarantees two elements, so the read of
+    // element 1 is in bounds.
+    #[allow(clippy::let_and_return)]
+    let b = unsafe { *v.as_ptr().add(1) };
+    b
 }

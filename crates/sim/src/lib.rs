@@ -22,7 +22,7 @@
 //! * [`env`] — the shared `COAXIAL_*` environment knobs (budgets, job count,
 //!   cycle-skip toggle).
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;

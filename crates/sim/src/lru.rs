@@ -6,7 +6,7 @@
 //! recency bookkeeping is a simple monotonic stamp with an O(n) eviction
 //! scan — n is single digits in practice. The map is a `BTreeMap` so the
 //! scan's iteration order (and therefore eviction under stamp ties) is
-//! deterministic (lint D01).
+//! deterministic.
 //!
 //! The cache always retains the most recently inserted entry even if it
 //! alone exceeds the budget; this preserves the memoization behaviour of
@@ -24,10 +24,9 @@ struct Entry<V> {
 
 /// Keyed LRU bounded by total bytes, with hit/miss/eviction counters.
 ///
-/// Backed by a `BTreeMap` (not `HashMap`): the eviction scan iterates the
-/// map, and lint D01 requires iteration on state-feeding paths to have a
-/// deterministic order — with ordered keys, stamp ties always evict the
-/// smallest key instead of whichever the hasher visits first.
+/// Backed by a `BTreeMap` (hash collections are banned workspace-wide by
+/// `clippy.toml`): the eviction scan iterates the map, and with ordered
+/// keys stamp ties always evict the smallest key.
 #[derive(Debug)]
 pub struct ByteBoundedLru<K: Ord + Clone, V> {
     map: BTreeMap<K, Entry<V>>,

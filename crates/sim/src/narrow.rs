@@ -1,8 +1,8 @@
 //! Typed narrowing helpers.
 //!
-//! The workspace gates `clippy::cast_possible_truncation`, and lint T01
-//! forbids bare lossy `as` casts on cycle-carrying integers. Every
-//! intentional narrowing goes through one of these helpers instead, so the
+//! The workspace gates `clippy::cast_possible_truncation`, which forbids
+//! bare lossy `as` casts on cycle-carrying integers. Every intentional
+//! narrowing goes through one of these helpers instead, so the
 //! conversion's contract is named at the call site and the unchecked cast
 //! lives in exactly one reviewed place per shape.
 //!

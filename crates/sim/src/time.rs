@@ -1,38 +1,20 @@
 //! System clock and time unit conversions.
 //!
-//! Everything in the simulator advances on a single 2.4 GHz clock. The paper
-//! (Table III) clocks its 12 OoO cores at 2.4 GHz; DDR5-4800 transfers data
-//! on both edges of a 2.4 GHz I/O clock, so memory timing parameters quoted
-//! in memory clocks translate 1:1 into system cycles.
+//! The clock itself — [`Cycle`], [`CPU_FREQ_GHZ`], [`NS_PER_CYCLE`] and the
+//! cycles→ns helpers — is defined once, in `coaxial_telemetry::time`
+//! (the crate below this one), and re-exported here. This module adds the
+//! conversions that need this crate: ns→cycles rounding (through
+//! [`crate::narrow`]) and bandwidth scaling.
 
-/// Simulation timestamp / duration, in system clock cycles (2.4 GHz).
-pub type Cycle = u64;
-
-/// System (CPU and DDR5-4800 I/O) clock frequency in GHz.
-pub const CPU_FREQ_GHZ: f64 = 2.4;
-
-/// Duration of one system clock cycle in nanoseconds (≈ 0.41667 ns).
-pub const NS_PER_CYCLE: f64 = 1.0 / CPU_FREQ_GHZ;
+pub use coaxial_telemetry::time::{
+    cycles_f64_to_ns, cycles_to_ns, Cycle, CPU_FREQ_GHZ, NS_PER_CYCLE,
+};
 
 /// Convert a nanosecond latency into system cycles, rounding up so that a
 /// quoted hardware latency is never under-modelled.
 #[inline]
 pub fn ns_to_cycles(ns: f64) -> Cycle {
     crate::narrow::trunc_u64((ns * CPU_FREQ_GHZ).ceil())
-}
-
-/// Convert a cycle count back into nanoseconds.
-#[inline]
-pub fn cycles_to_ns(cycles: Cycle) -> f64 {
-    cycles as f64 * NS_PER_CYCLE
-}
-
-/// Convert an already-fractional cycle quantity (a histogram mean or
-/// percentile) into nanoseconds. Same arithmetic as [`cycles_to_ns`],
-/// for callers whose cycle value left the integer domain upstream.
-#[inline]
-pub fn cycles_f64_to_ns(frac_cycles: f64) -> f64 {
-    frac_cycles * NS_PER_CYCLE
 }
 
 /// Convert a GB/s bandwidth figure into bytes per cycle. GB/s is

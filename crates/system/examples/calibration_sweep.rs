@@ -2,6 +2,7 @@ use coaxial_system::experiments::{fig5_main, geomean_speedup, Budget};
 
 fn main() {
     let budget = Budget { instructions: 30_000, warmup: 5_000 };
+    #[allow(clippy::disallowed_methods, reason = "prints the sweep's host wall time")]
     let t0 = std::time::Instant::now();
     let rows = fig5_main(budget);
     for r in &rows {

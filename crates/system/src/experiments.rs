@@ -219,7 +219,7 @@ pub struct MixRow {
 /// one isolated (single-active-core) run per distinct (workload, system)
 /// pair — cached across mixes.
 pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow> {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet};
     let mixes_v: Vec<Vec<&'static Workload>> = (0..count).map(|id| mixes::mix(id, 12)).collect();
 
     // Shared runs: baseline + COAXIAL per mix, one flat batch.
@@ -235,11 +235,10 @@ pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow
     let shared = runner::run_all(&specs);
 
     // Isolated runs for the weighted metric: one per distinct
-    // (workload, system) pair across all mixes, also batched. The map and
-    // the dedup set below are keyed-lookup only — never iterated (lint
-    // D01); report rows come from the ordered `mixes_v` walk.
-    let alone: HashMap<(&str, bool), f64> = if weighted {
-        let mut seen = HashSet::new();
+    // (workload, system) pair across all mixes, also batched. Report rows
+    // come from the ordered `mixes_v` walk, not from the map.
+    let alone: BTreeMap<(&str, bool), f64> = if weighted {
+        let mut seen = BTreeSet::new();
         let mut distinct: Vec<(&'static Workload, bool)> = Vec::new();
         for m in &mixes_v {
             for &w in m {
@@ -264,7 +263,7 @@ pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow
             .map(|(&(w, coax), r)| ((w.name, coax), r.ipc))
             .collect()
     } else {
-        HashMap::new()
+        BTreeMap::new()
     };
 
     mixes_v

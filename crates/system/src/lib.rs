@@ -23,7 +23,7 @@
 //! | Table V (power/EDP)           | [`power::table5`] |
 //! | §IV-E (capacity & cost)       | [`cost`] |
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 pub mod area;

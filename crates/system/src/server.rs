@@ -607,6 +607,12 @@ impl Simulation {
         };
         let mut hierarchy = Hierarchy::with_telemetry(hier_cfg, backend, tel);
 
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "host wall-clock timer for the COAXIAL_DEBUG diagnostic and the \
+                      prefill/loop wall-time metrics; feeds wall-time reporting only, never \
+                      simulated state or figure output"
+        )]
         let dbg_t0 = std::time::Instant::now();
         let restored = self.prefill_hierarchy(&mut hierarchy);
         hierarchy.finish_prefill();

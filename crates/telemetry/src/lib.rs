@@ -25,11 +25,11 @@
 //!   tier-1 path is bit-identical and within noise of the pre-telemetry
 //!   engine); [`TelemetryRecorder`] records everything.
 //!
-//! This crate sits *below* `coaxial-sim` in the dependency graph (so `sim`
-//! can re-export the stats primitives) and therefore defines its own
-//! [`Cycle`] alias; it is the same `u64` cycle count as `coaxial_sim::Cycle`.
+//! This crate sits *below* `coaxial-sim` in the dependency graph, so it is
+//! the home of the shared primitives `sim` re-exports: the stats types and
+//! the system clock ([`Cycle`] and the [`time`] conversions).
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 pub mod attribution;
@@ -39,14 +39,8 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-/// Simulation timestamp / duration in system clock cycles (2.4 GHz).
-/// Identical to `coaxial_sim::Cycle`; redeclared here because this crate
-/// sits below `coaxial-sim` in the dependency graph.
-pub type Cycle = u64;
-
-/// Duration of one system clock cycle in nanoseconds (2.4 GHz clock);
-/// lives in [`time`] with the rest of the clock relationship.
-pub use time::NS_PER_CYCLE;
+/// The cycle type and clock period; `coaxial_sim` re-exports both.
+pub use time::{Cycle, NS_PER_CYCLE};
 
 pub use attribution::{Component, LatencyAttribution, MissRecord, COMPONENTS};
 pub use registry::{MetricValue, MetricsRegistry, SharedCounter, SharedHistogram};

@@ -24,7 +24,7 @@
 //! random 12-workload mixes; [`traffic::PoissonTraffic`] is the
 //! rate-controlled random load used for the Fig. 2a load-latency curve.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
 
 pub mod characterize;

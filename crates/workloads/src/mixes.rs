@@ -44,7 +44,7 @@ mod tests {
     #[test]
     fn mixes_draw_from_multiple_suites() {
         // Across the 10 paper mixes, at least 20 distinct workloads appear.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in 0..PAPER_MIX_COUNT as u64 {
             for w in mix(m, 12) {
                 seen.insert(w.name);

@@ -5,6 +5,11 @@
 //! cargo run --release --example prefill_micro
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a self-timed microbenchmark measures host wall-clock time"
+)]
+
 use std::time::Instant;
 
 use coaxial::cache::{CalmPolicy, Hierarchy, HierarchyConfig};

@@ -17,14 +17,58 @@ echo "== cargo test =="
 cargo test -q --offline --workspace
 
 echo "== cargo clippy =="
-# -D warnings plus a curated pedantic subset: lossy casts must go through
-# coaxial_sim::narrow (see lint T01), and config structs are passed by
-# reference unless the callee stores them.
-cargo clippy --offline --workspace --all-targets -- \
-  -D warnings \
-  -D clippy::cast_possible_truncation \
-  -D clippy::large_types_passed_by_value \
+# -D warnings plus a curated pedantic/restriction subset. clippy.toml bans
+# hash collections, process entropy and the wall clock (the determinism
+# rules D01/D02 that coaxial-lint used to carry); lossy casts must go
+# through coaxial_sim::narrow (T01); every unsafe block needs a SAFETY
+# comment (U01); config structs are passed by reference unless the callee
+# stores them.
+CLIPPY_FLAGS=(
+  -D warnings
+  -D clippy::cast_possible_truncation
+  -D clippy::undocumented_unsafe_blocks
+  -D clippy::large_types_passed_by_value
   -D clippy::needless_pass_by_value
+)
+cargo clippy --offline --workspace --all-targets -- "${CLIPPY_FLAGS[@]}"
+
+echo "== retired coaxial-lint rules, now clippy =="
+# The D01/D02/T01/U01 fixtures of crates/lint must keep failing under the
+# same clippy.toml and flags: each _bad file is rejected with every banned
+# item it uses named, and each _good twin passes. Dropping a clippy.toml
+# entry or one of the flags above fails this step.
+FX=crates/lint/tests/fixtures
+FXOUT=$(mktemp -d)
+retired() {
+  local rule=$1 out
+  shift
+  if out=$(CLIPPY_CONF_DIR="$PWD" clippy-driver --edition 2021 --crate-type lib \
+      --emit=metadata -o "$FXOUT/$rule.rmeta" -A dead_code "${CLIPPY_FLAGS[@]}" \
+      "$FX/${rule}_bad.rs" 2>&1); then
+    echo "$FX/${rule}_bad.rs passed clippy; it must be rejected" >&2
+    exit 1
+  fi
+  for want in "$@"; do
+    if ! grep -qF -- "$want" <<<"$out"; then
+      echo "$FX/${rule}_bad.rs: clippy did not report: $want" >&2
+      echo "$out" >&2
+      exit 1
+    fi
+  done
+  CLIPPY_CONF_DIR="$PWD" clippy-driver --edition 2021 --crate-type lib \
+    --emit=metadata -o "$FXOUT/$rule.rmeta" -A dead_code "${CLIPPY_FLAGS[@]}" \
+    "$FX/${rule}_good.rs"
+  echo "$rule: _bad rejected, _good clean"
+}
+retired d01 'disallowed type `std::collections::HashMap`' \
+  'disallowed type `std::collections::HashSet`'
+retired d02 'disallowed method `std::time::Instant::now`' \
+  'disallowed method `std::time::SystemTime::now`' \
+  'disallowed type `std::hash::RandomState`' \
+  'disallowed type `std::hash::DefaultHasher`'
+retired t01 'clippy::cast-possible-truncation'
+retired u01 'clippy::undocumented-unsafe-blocks'
+rm -rf "$FXOUT"
 
 echo "== checkpoint-stats =="
 # Prefill checkpoint smoke test: two identical runs, the second must
@@ -80,13 +124,12 @@ if [ "$sampled_ms" -gt $((2 * full_ms)) ]; then
 fi
 
 echo "== coaxial-lint =="
-# Workspace static analysis: determinism (D01/D02), timing arithmetic
-# (T01/T02), zero-cost telemetry (Z01), unsafe hygiene (U01), the
+# Workspace static analysis for what clippy cannot see: float
+# accumulation in cycle math (T02), zero-cost telemetry (Z01), the
 # cross-file coverage rules (C01, E01/E02/E03/E04/E05, M01), lock
 # discipline (L01), and the unit-of-measure dataflow rules (Q01/Q02/Q03)
 # over the resolved symbol graph. Suppressions live in lint-allow.toml;
-# the rule catalog is docs/LINTS.md. CI always runs the full scan;
-# `--changed-only` exists for local loops. The JSON and SARIF reports are
+# the rule catalog is docs/LINTS.md. The JSON and SARIF reports are
 # written next to the text run (CI uploads both as artifacts) and the
 # scan must stay inside a wall-time budget so the resolver/graph/dataflow
 # tiers never quietly turn the gate sluggish — the per-rule breakdown on

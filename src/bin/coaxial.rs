@@ -414,6 +414,10 @@ fn main() {
             let o = parse_opts(rest);
             let w = workload(wl);
             let run = || {
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "reports the host wall time of the cold and warm runs"
+                )]
                 let t = std::time::Instant::now();
                 let (_, _, m) = Simulation::new(build_config(&o), w)
                     .instructions_per_core(o.instr)
