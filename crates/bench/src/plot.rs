@@ -2,52 +2,15 @@
 //! graphics, not just tables. Pure std: no plotting crate dependencies.
 //!
 //! Two chart types cover every figure in the paper: grouped bar charts
-//! (Figs. 5–11) and multi-series line charts (Figs. 1, 2a). Output is
-//! written alongside the CSVs in `target/paper-results/`.
+//! (Figs. 5–11) and multi-series line charts (Figs. 1, 2a). The registry
+//! describes each figure as a [`Chart`]; [`render`] draws it.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
-/// One named series of y-values.
-#[derive(Debug, Clone)]
-pub struct Series {
-    pub name: String,
-    pub values: Vec<f64>,
-}
+use coaxial_system::table::{Chart, ChartKind, Series};
 
-impl Series {
-    pub fn new(name: &str, values: Vec<f64>) -> Self {
-        Self { name: name.to_string(), values }
-    }
-}
-
-/// Chart-wide options.
-#[derive(Debug, Clone)]
-pub struct ChartOptions {
-    pub title: String,
-    pub y_label: String,
-    /// Draw a horizontal reference line (e.g. speedup = 1.0).
-    pub reference_line: Option<f64>,
-    /// Use a log10 y-axis (Fig. 1).
-    pub log_y: bool,
-    pub width: u32,
-    pub height: u32,
-}
-
-impl Default for ChartOptions {
-    fn default() -> Self {
-        Self {
-            title: String::new(),
-            y_label: String::new(),
-            reference_line: None,
-            log_y: false,
-            width: 1100,
-            height: 420,
-        }
-    }
-}
-
+const WIDTH: u32 = 1100;
+const HEIGHT: u32 = 420;
 const PALETTE: [&str; 6] = ["#4878a8", "#e1975c", "#6aa66a", "#c86464", "#8d7bb8", "#937860"];
 const MARGIN_L: f64 = 64.0;
 const MARGIN_R: f64 = 16.0;
@@ -76,9 +39,9 @@ struct Frame {
     y_px: Box<dyn Fn(f64) -> f64>,
 }
 
-fn frame(opts: &ChartOptions, y_min: f64, y_max: f64) -> Frame {
-    let w = opts.width as f64;
-    let h = opts.height as f64;
+fn frame(opts: &Chart, y_min: f64, y_max: f64) -> Frame {
+    let w = f64::from(WIDTH);
+    let h = f64::from(HEIGHT);
     let (x0, x1) = (MARGIN_L, w - MARGIN_R);
     let (py0, py1) = (h - MARGIN_B, MARGIN_T);
     let (ty_min, ty_max) = (y_transform(y_min, opts.log_y), y_transform(y_max, opts.log_y));
@@ -151,8 +114,17 @@ fn legend(svg: &mut String, series: &[Series], x: f64) {
     }
 }
 
+/// Draw a chart as a standalone SVG document.
+pub fn render(chart: &Chart) -> String {
+    match &chart.kind {
+        ChartKind::Bar(categories) => bar_chart(categories, chart),
+        ChartKind::Line(xs) => line_chart(xs, chart),
+    }
+}
+
 /// Render a grouped bar chart: one cluster per category, one bar per series.
-pub fn bar_chart(categories: &[String], series: &[Series], opts: &ChartOptions) -> String {
+fn bar_chart(categories: &[String], opts: &Chart) -> String {
+    let series = &opts.series;
     assert!(!categories.is_empty() && !series.is_empty());
     for s in series {
         assert_eq!(s.values.len(), categories.len(), "series '{}' arity", s.name);
@@ -168,7 +140,7 @@ pub fn bar_chart(categories: &[String], series: &[Series], opts: &ChartOptions) 
         0.0
     };
     let mut f = frame(opts, y_min, y_max);
-    let h = opts.height as f64;
+    let h = f64::from(HEIGHT);
     let py0 = h - MARGIN_B;
     let cluster_w = (f.x1 - f.x0) / categories.len() as f64;
     let bar_w = (cluster_w * 0.8) / series.len() as f64;
@@ -201,7 +173,8 @@ pub fn bar_chart(categories: &[String], series: &[Series], opts: &ChartOptions) 
 }
 
 /// Render a multi-series line chart over shared x-values.
-pub fn line_chart(xs: &[f64], series: &[Series], opts: &ChartOptions) -> String {
+fn line_chart(xs: &[f64], opts: &Chart) -> String {
+    let series = &opts.series;
     assert!(xs.len() >= 2 && !series.is_empty());
     for s in series {
         assert_eq!(s.values.len(), xs.len(), "series '{}' arity", s.name);
@@ -217,7 +190,7 @@ pub fn line_chart(xs: &[f64], series: &[Series], opts: &ChartOptions) -> String 
     let mut f = frame(opts, y_min, y_max);
     let (x_lo, x_hi) = (xs[0], xs[xs.len() - 1]);
     let x_px = |x: f64| f.x0 + (f.x1 - f.x0) * (x - x_lo) / (x_hi - x_lo).max(1e-12);
-    let h = opts.height as f64;
+    let h = f64::from(HEIGHT);
     let py0 = h - MARGIN_B;
     // x tick labels.
     for (i, &x) in xs.iter().enumerate() {
@@ -254,32 +227,21 @@ pub fn line_chart(xs: &[f64], series: &[Series], opts: &ChartOptions) -> String 
     f.svg
 }
 
-/// Write an SVG file under `target/paper-results/<name>.svg`.
-pub fn write_svg(name: &str, svg: &str) {
-    let dir = crate::results_dir();
-    let _ = fs::create_dir_all(&dir);
-    let path: PathBuf = dir.join(format!("{name}.svg"));
-    match fs::write(&path, svg) {
-        Ok(()) => println!("[svg written to {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cats(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("w{i}")).collect()
+    fn bars(n: usize, series: Vec<Series>) -> Chart {
+        let cats = (0..n).map(|i| format!("w{i}")).collect();
+        Chart::speedup_bars("t", "test", cats, series)
     }
 
     #[test]
     fn bar_chart_emits_expected_structure() {
-        let svg = bar_chart(
-            &cats(3),
-            &[Series::new("a", vec![1.0, 2.0, 3.0]), Series::new("b", vec![0.5, 1.5, 2.5])],
-            &ChartOptions { title: "test".into(), reference_line: Some(1.0), ..Default::default() },
-        );
+        let svg = render(&bars(
+            3,
+            vec![Series::new("a", vec![1.0, 2.0, 3.0]), Series::new("b", vec![0.5, 1.5, 2.5])],
+        ));
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
         // 3 clusters × 2 series bars + background + legend swatches.
@@ -290,43 +252,45 @@ mod tests {
 
     #[test]
     fn line_chart_emits_one_polyline_per_series() {
-        let xs = vec![0.0, 1.0, 2.0, 3.0];
-        let svg = line_chart(
-            &xs,
-            &[
+        let mut c = Chart::log_lines(
+            "t",
+            "",
+            "",
+            vec![0.0, 1.0, 2.0, 3.0],
+            vec![
                 Series::new("avg", vec![1.0, 2.0, 4.0, 9.0]),
                 Series::new("p90", vec![2.0, 3.0, 8.0, 20.0]),
             ],
-            &ChartOptions::default(),
         );
+        c.log_y = false;
+        let svg = render(&c);
         assert_eq!(svg.matches("<polyline").count(), 2);
         assert_eq!(svg.matches("<circle").count(), 8);
     }
 
     #[test]
     fn log_axis_handles_wide_ranges() {
-        let xs = vec![1.0, 2.0, 3.0];
-        let svg = line_chart(
-            &xs,
-            &[Series::new("x", vec![0.02, 1.0, 32.0])],
-            &ChartOptions { log_y: true, ..Default::default() },
-        );
+        let svg = render(&Chart::log_lines(
+            "t",
+            "",
+            "",
+            vec![1.0, 2.0, 3.0],
+            vec![Series::new("x", vec![0.02, 1.0, 32.0])],
+        ));
         assert!(svg.contains("<polyline"));
     }
 
     #[test]
     #[should_panic(expected = "arity")]
     fn mismatched_series_length_panics() {
-        let _ = bar_chart(&cats(3), &[Series::new("bad", vec![1.0])], &ChartOptions::default());
+        let _ = render(&bars(3, vec![Series::new("bad", vec![1.0])]));
     }
 
     #[test]
     fn titles_are_escaped() {
-        let svg = bar_chart(
-            &cats(1),
-            &[Series::new("a", vec![1.0])],
-            &ChartOptions { title: "a<b&c".into(), ..Default::default() },
-        );
+        let mut c = bars(1, vec![Series::new("a", vec![1.0])]);
+        c.title = "a<b&c".into();
+        let svg = render(&c);
         assert!(svg.contains("a&lt;b&amp;c"));
         assert!(!svg.contains("a<b&c"));
     }

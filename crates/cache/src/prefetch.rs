@@ -4,7 +4,7 @@
 //! latency; CALM is one such trade, prefetching is the obvious second one.
 //! A prefetcher converts bandwidth into latency tolerance — so, like CALM,
 //! it should be cheap on COAXIAL and risky on the bandwidth-starved
-//! baseline. The `ablations` bench target measures exactly that.
+//! baseline. The `ablations` experiment measures exactly that.
 //!
 //! Two classic designs are provided:
 //!

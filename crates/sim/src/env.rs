@@ -14,9 +14,6 @@
 //! | `COAXIAL_DEBUG`   | end-of-run engine diagnostics on stderr            |
 //! | `COAXIAL_PREFILL_CACHE_MB` | byte budget (MB) for each cross-run prefill cache |
 //! | `COAXIAL_CHECKPOINT_DIR` | disk tier for the post-prefill checkpoint store |
-//! | `COAXIAL_F2A_CYCLES` | fig2a bench: simulated cycles per load-latency point |
-//! | `COAXIAL_F6_WEIGHTED` | fig6 bench: also emit the weighted-speedup column |
-//! | `COAXIAL_F7_ALL` | fig7 bench: average over all workloads, not the subset |
 //! | `COAXIAL_SAMPLING` | enable SMARTS-style interval sampling for `coaxial run` |
 //! | `COAXIAL_SAMPLING_INTERVALS` | measurement intervals per sampled run (default 10) |
 //! | `COAXIAL_SAMPLING_MEASURE` | measured instructions per core per interval (default 2000) |

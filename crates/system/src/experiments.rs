@@ -1,26 +1,37 @@
-//! Experiment runners — one per table/figure of the paper's evaluation.
+//! Experiment runners — one per table/figure of the paper's evaluation —
+//! and the [`registry`] that names them.
 //!
-//! Every function here regenerates the data behind a specific paper
-//! element; the `coaxial-bench` crate formats and prints them. All
-//! runners accept a [`Budget`] so callers can trade fidelity for runtime
-//! (the defaults follow `COAXIAL_INSTR`/`COAXIAL_WARMUP` or the built-in
-//! laptop-scale budget).
+//! Every runner regenerates the data behind a specific paper element;
+//! each registry entry turns one or more runners into an [`Output`] of
+//! tables, chart series, paper comparisons and checked [`Claim`]s, which
+//! `coaxial exp <name>` prints and the `paper` bench also writes to
+//! disk. All runners accept a [`Budget`] so callers can trade fidelity
+//! for runtime (the defaults follow `COAXIAL_INSTR`/`COAXIAL_WARMUP` or
+//! the built-in laptop-scale budget).
 //!
 //! Each runner builds a flat batch of [`RunSpec`]s and dispatches it
 //! through [`crate::runner::run_all`], so independent simulations spread
 //! across host cores (`COAXIAL_JOBS`). Reports come back keyed by spec
 //! index, which keeps every row assembly below deterministic.
 
-use coaxial_cache::{CalmPolicy, PrefetchPolicy};
-use coaxial_dram::{Channel, DramConfig, MemoryBackend};
+use std::fmt;
+
+use coaxial_cache::{CalmPolicy, Hierarchy, HierarchyConfig, PrefetchPolicy};
+use coaxial_cpu::{Core, CoreParams};
+use coaxial_cxl::CxlMemory;
+use coaxial_dram::config::PagePolicy;
+use coaxial_dram::{Channel, DramConfig, MemoryBackend, MultiChannel};
 use coaxial_sim::Cycle;
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::{mixes, PoissonTraffic, Workload};
 use serde::Serialize;
 
-use crate::config::SystemConfig;
+use crate::area::{AreaModel, ServerDesign};
+use crate::config::{MemorySystemKind, SystemConfig};
 use crate::runner::{self, RunSpec};
 use crate::server::{RunReport, Simulation};
+use crate::table::{f1, f2, pct, Chart, Series, Table};
+use crate::{pinout, power};
 
 /// Instruction budget for one run.
 #[derive(Debug, Clone, Copy)]
@@ -143,7 +154,7 @@ pub fn baseline_characterization(budget: Budget) -> Vec<BaselineRow> {
 
 // ───────────────────────── Fig. 5 ───────────────────────────
 
-/// One per-workload comparison row (Fig. 5, and reused by Figs. 8/10).
+/// One per-workload comparison row (Fig. 5 and Table V).
 #[derive(Debug, Clone, Serialize)]
 pub struct CompareRow {
     pub workload: String,
@@ -152,11 +163,16 @@ pub struct CompareRow {
     pub coax: RunReport,
 }
 
-/// Run baseline and one COAXIAL config across all workloads.
-pub fn compare_all(coax_cfg: impl Fn() -> SystemConfig, budget: Budget) -> Vec<CompareRow> {
+/// Fig. 5: COAXIAL-4x vs. the DDR baseline across all 36 workloads.
+pub fn fig5_main(budget: Budget) -> Vec<CompareRow> {
     let specs: Vec<RunSpec> = Workload::all()
         .iter()
-        .flat_map(|w| [budget.spec(SystemConfig::ddr_baseline(), w), budget.spec(coax_cfg(), w)])
+        .flat_map(|w| {
+            [
+                budget.spec(SystemConfig::ddr_baseline(), w),
+                budget.spec(SystemConfig::coaxial_4x(), w),
+            ]
+        })
         .collect();
     let mut reports = runner::run_all(&specs).into_iter();
     Workload::all()
@@ -172,16 +188,6 @@ pub fn compare_all(coax_cfg: impl Fn() -> SystemConfig, budget: Budget) -> Vec<C
             }
         })
         .collect()
-}
-
-/// Fig. 5: COAXIAL-4x vs. the DDR baseline across all 36 workloads.
-pub fn fig5_main(budget: Budget) -> Vec<CompareRow> {
-    compare_all(SystemConfig::coaxial_4x, budget)
-}
-
-/// Geometric-mean speedup of a comparison set.
-pub fn geomean_speedup(rows: &[CompareRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.speedup))
 }
 
 pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
@@ -289,11 +295,6 @@ pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow
             }
         })
         .collect()
-}
-
-/// Fig. 6 with the default (IPC-ratio only) metric.
-pub fn fig6_mixes(count: u64, budget: Budget) -> Vec<MixRow> {
-    fig6_mixes_full(count, budget, false)
 }
 
 // ───────────────────────── Fig. 7 ───────────────────────────
@@ -574,7 +575,7 @@ pub fn table5_inputs(rows: &[CompareRow]) -> Table5Inputs {
 // contract coaxial-lint's E02 rule enforces statically (a knob the model
 // reads but no experiment varies is untested fidelity: nothing would
 // notice if its wiring broke). They double as data sources for the
-// `ablations` bench target.
+// `ablations` registry entry.
 
 fn named_workloads(names: &[&str]) -> Vec<&'static Workload> {
     names.iter().map(|n| Workload::by_name(n).expect("workload exists")).collect()
@@ -812,95 +813,937 @@ pub fn sampling_accuracy(
         .collect()
 }
 
-// ───────────────────────── Named dispatch ────────────────────
+// ───────────────────────── Registry ─────────────────────────
+//
+// Every table, figure and study runs by name from here: `coaxial exp
+// <name>` prints an entry's [`Output`], and the `paper` bench also
+// writes its CSVs and SVGs under `target/paper-results/`. An experiment is
+// not "done" until it has an entry (lint E05 requires every pub runner
+// above to be reachable from the CLI).
 
-/// Experiment names accepted by [`run_named`], in `coaxial exp` help order.
-pub const EXPERIMENT_NAMES: &[&str] = &[
-    "fig2a",
-    "baseline",
-    "fig5",
-    "fig6",
-    "fig6-weighted",
-    "fig7",
-    "fig8",
-    "fig10",
-    "fig11",
-    "dram-timing",
-    "core-scaling",
-    "prefetch",
-    "seeds",
-    "sampling",
-];
-
-fn debug_rows<T: std::fmt::Debug>(rows: &[T]) -> String {
-    rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>().join("\n")
+/// One paper claim checked by a run: what the paper reports, what this
+/// run measured, and the band or ordering the measurement must satisfy.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    pub what: &'static str,
+    pub paper: &'static str,
+    pub measured: String,
+    /// The accepted band or ordering, as text.
+    pub accept: String,
+    pub holds: bool,
 }
 
-/// Run the named experiment at `budget` and render its rows as text — the
-/// `coaxial exp <name>` entry point. Every public runner in this module
-/// must stay reachable from here or a bespoke subcommand (lint E05
-/// enforces that workspace-wide), so an experiment is not "done" until it
-/// has a name. Returns `None` for an unknown name; see
-/// [`EXPERIMENT_NAMES`].
+impl Claim {
+    /// `measured` must lie in `[lo, hi]`.
+    fn band(what: &'static str, paper: &'static str, measured: f64, (lo, hi): (f64, f64)) -> Self {
+        Self {
+            what,
+            paper,
+            measured: format!("{measured:.3}"),
+            accept: format!("[{lo:.2}, {hi:.2}]"),
+            holds: (lo..=hi).contains(&measured),
+        }
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "claim {}: paper {}, measured {}, accepted {} — {}",
+            self.what,
+            self.paper,
+            self.measured,
+            self.accept,
+            if self.holds { "holds" } else { "VIOLATED" }
+        )
+    }
+}
+
+/// Everything one experiment produces.
+#[derive(Debug, Clone, Default)]
+pub struct Output {
+    pub tables: Vec<Table>,
+    /// The figure data that the `paper` bench renders as SVG.
+    pub charts: Vec<Chart>,
+    /// Reproduction-vs-paper comparison lines.
+    pub notes: Vec<String>,
+    /// Paper claims with an acceptance band or ordering.
+    pub claims: Vec<Claim>,
+}
+
+impl Output {
+    fn tables(tables: Vec<Table>) -> Self {
+        Self { tables, ..Self::default() }
+    }
+
+    fn note(mut self, line: impl Into<String>) -> Self {
+        self.notes.push(line.into());
+        self
+    }
+}
+
+/// Each table followed by a blank line, then the notes and claims.
+impl fmt::Display for Output {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for t in &self.tables {
+            writeln!(f, "{t}")?;
+        }
+        for n in &self.notes {
+            writeln!(f, "{n}")?;
+        }
+        for c in &self.claims {
+            writeln!(f, "{c}")?;
+        }
+        Ok(())
+    }
+}
+
+/// A registry entry: one table, figure or study, runnable by name.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    pub name: &'static str,
+    pub title: &'static str,
+    pub run: fn(Budget) -> Output,
+}
+
+/// Every experiment, in paper order, then the extension studies.
 ///
-/// Arguments beyond the budget use laptop-scale defaults — these arms are
-/// smoke-runnable entry points, not the full paper sweeps (the
-/// `coaxial-bench` targets own those).
-pub fn run_named(name: &str, budget: Budget) -> Option<String> {
-    Some(match name {
-        "fig2a" => debug_rows(&fig2a_load_latency(&[0.2, 0.4, 0.6, 0.8], 200_000)),
-        "baseline" => debug_rows(&baseline_characterization(budget)),
-        "fig5" => {
-            let cmp = fig5_main(budget);
-            let t5 = table5_inputs(&cmp);
-            let lines: Vec<String> = cmp
-                .iter()
-                .map(|r| format!("{:<15} speedup {:.3}", r.workload, r.speedup))
-                .collect();
-            format!("{}\ngeomean speedup {:.3}\n{t5:?}", lines.join("\n"), geomean_speedup(&cmp))
-        }
-        "fig6" => debug_rows(&fig6_mixes(4, budget)),
-        "fig6-weighted" => debug_rows(&fig6_mixes_full(2, budget, true)),
-        "fig7" => {
-            let mechs: Vec<String> =
-                calm_mechanisms().iter().map(|m| m.label().to_string()).collect();
-            format!(
-                "mechanisms: {}\n{}",
-                mechs.join(", "),
-                debug_rows(&fig7_calm(&["mcf", "stream-add"], budget))
+/// Each producer is *called* inside a closure rather than named as a fn
+/// pointer: coaxial-lint's call graph links `name(` call sites only, and
+/// E05 must see every runner reachable from `coaxial exp`.
+#[allow(
+    clippy::redundant_closure,
+    reason = "the closures give coaxial-lint's call graph a call site for each producer"
+)]
+pub fn registry() -> Vec<Experiment> {
+    let e = |name, title, run: fn(Budget) -> Output| Experiment { name, title, run };
+    vec![
+        e("fig1", "Figure 1: bandwidth per pin, normalized to PCIe 1.0", |_| fig1()),
+        e("fig2a", "Figure 2a: DDR5-4800 load-latency curve (avg, p90)", |_| fig2a()),
+        e("fig2b", "Figure 2b: baseline L2-miss latency breakdown", |b| {
+            fig2b(&baseline_characterization(b))
+        }),
+        e("table1-3", "Tables I-III: areas, server designs, parameters", |_| tables_1_to_3()),
+        e("table4", "Table IV: workload IPC and LLC MPKI on the baseline", |b| {
+            table4(&baseline_characterization(b))
+        }),
+        e("fig5", "Figure 5: COAXIAL-4x vs DDR baseline", |b| fig5(b)),
+        e("fig6", "Figure 6: workload-mix speedups", |b| fig6(b, false)),
+        e("fig6-weighted", "Figure 6 with the weighted-speedup metric", |b| fig6(b, true)),
+        e("fig7", "Figure 7: CALM mechanism sensitivity and decision quality", |b| fig7(b)),
+        e("fig8", "Figure 8: COAXIAL design variants vs DDR baseline", |b| fig8(b)),
+        e("fig9", "Figure 9: read vs write bandwidth on the baseline", |b| {
+            fig9(&baseline_characterization(b))
+        }),
+        e("fig10", "Figure 10 (+§VII): sensitivity to the CXL latency premium", |b| fig10(b)),
+        e("fig11", "Figure 11: speedup vs active cores (1 / 4 / 8 / 12 of 12)", |b| fig11(b)),
+        e("table5", "Table V: energy/power comparison for the 144-core server", |b| table5(b)),
+        e("ablations", "Design-choice sensitivity (extension)", |b| ablations(b)),
+        e("baseline", "Figs. 2b and 9 and Table IV from one baseline sweep", |b| baseline(b)),
+        e("dram-timing", "DRAM speed grade: every DDR5 timing scaled", |b| {
+            Output::tables(vec![dram_timing_table("dram_timing", &[0.75, 1.0, 1.5], SMOKE_SET, b)])
+        }),
+        e("core-scaling", "Slice size: geomean IPC and speedup per core count", |b| {
+            Output::tables(vec![core_scaling_table("core_scaling", &[6, 12], &["mcf"], b)])
+        }),
+        e("prefetch", "L2 prefetching on both systems", |b| {
+            Output::tables(vec![prefetch_table("prefetch", &["stream-add"], b)])
+        }),
+        e("seeds", "Seed stability of the COAXIAL-4x geomean IPC", |b| {
+            Output::tables(vec![seed_table("seeds", &[1, 2, 3], &["mcf"], b)])
+        }),
+        e("sampling", "Interval-sampled vs full-detail IPC", |b| sampling(b)),
+    ]
+}
+
+/// The registry entry called `name`, if any. (Not `find`: the lint's
+/// call graph would link every iterator `.find(` call to it.)
+pub fn experiment(name: &str) -> Option<Experiment> {
+    registry().into_iter().find(|e| e.name == name)
+}
+
+/// Two contrasting workloads (bandwidth-bound and latency-bound) for the
+/// laptop-scale standalone studies.
+const SMOKE_SET: &[&str] = &["stream-add", "mcf"];
+
+fn fig1() -> Output {
+    let points = pinout::bandwidth_per_pin_table();
+    let mut t = Table::new(
+        "fig1_bw_per_pin",
+        &["interface", "family", "year", "GB/s", "pins", "GB/s/pin", "norm"],
+    );
+    for (p, (_, n)) in points.iter().zip(pinout::normalized_to_pcie1()) {
+        t.row(&[
+            p.name.to_string(),
+            p.family.to_string(),
+            p.year.to_string(),
+            f2(p.bandwidth_gbs),
+            p.pins.to_string(),
+            format!("{:.4}", p.bw_per_pin()),
+            f2(n),
+        ]);
+    }
+    // Fig. 1 as a per-family time series, log-y like the paper.
+    let pcie1 = 0.0625;
+    let charts = ["DDR", "PCIe"]
+        .into_iter()
+        .map(|family| {
+            let fam: Vec<_> = points.iter().filter(|p| p.family == family).collect();
+            Chart::log_lines(
+                &format!("fig1_{}", family.to_lowercase()),
+                &format!("Fig. 1: {family} bandwidth per pin (norm. to PCIe 1.0)"),
+                "norm. GB/s per pin",
+                fam.iter().map(|p| f64::from(p.year)).collect(),
+                vec![Series::new(family, fam.iter().map(|p| p.bw_per_pin() / pcie1).collect())],
             )
+        })
+        .collect();
+    Output { charts, ..Output::tables(vec![t]) }.note(format!(
+        "PCIe 5.0 vs DDR5-4800 bandwidth/pin: {:.2}x (paper: ~4x)",
+        pinout::pcie5_vs_ddr5_ratio()
+    ))
+}
+
+/// Simulated cycles per Fig. 2a load point.
+const FIG2A_HORIZON_CYCLES: Cycle = 600_000;
+
+fn fig2a() -> Output {
+    let utils: Vec<f64> = (1..=17).map(|i| f64::from(i) * 0.05).collect();
+    let pts = fig2a_load_latency(&utils, FIG2A_HORIZON_CYCLES);
+    let mut t =
+        Table::new("fig2a_load_latency", &["target util", "achieved util", "avg ns", "p90 ns"]);
+    for p in &pts {
+        t.row(&[
+            pct(p.target_utilization),
+            pct(p.achieved_utilization),
+            f1(p.avg_ns),
+            f1(p.p90_ns),
+        ]);
+    }
+    let chart = Chart::log_lines(
+        "fig2a_load_latency",
+        "Fig. 2a: DDR5-4800 load-latency curve",
+        "latency (ns)",
+        pts.iter().map(|p| p.target_utilization).collect(),
+        vec![
+            Series::new("avg ns", pts.iter().map(|p| p.avg_ns).collect()),
+            Series::new("p90 ns", pts.iter().map(|p| p.p90_ns).collect()),
+        ],
+    );
+    // Paper checkpoints: avg grows ~3x at 50% load; p90 grows faster.
+    let (lo, mid) = (&pts[0], &pts[9]); // 5% and 50% load
+    Output { charts: vec![chart], ..Output::tables(vec![t]) }.note(format!(
+        "avg growth at 50% load: {:.1}x (paper ~3x); p90 growth: {:.1}x (paper ~4.7x)",
+        mid.avg_ns / lo.avg_ns,
+        mid.p90_ns / lo.p90_ns
+    ))
+}
+
+/// Figs. 2b and 9 and Table IV tabulate one baseline sweep; the
+/// `baseline` entry prints all three from a single run of it.
+fn fig2b(rows: &[BaselineRow]) -> Output {
+    let mut t = Table::new(
+        "fig2b_latency_breakdown",
+        &[
+            "workload",
+            "on-chip ns",
+            "queuing ns",
+            "DRAM ns",
+            "L2-miss ns",
+            "BW util",
+            "queue share",
+        ],
+    );
+    let mut q_share_sum = 0.0;
+    for r in rows {
+        let (on, q, s, _) = r.breakdown_ns;
+        let total = on + q + s;
+        let share = if total > 0.0 { q / total } else { 0.0 };
+        q_share_sum += share;
+        t.row(&[
+            r.workload.clone(),
+            f1(on),
+            f1(q),
+            f1(s),
+            f1(total),
+            pct(r.utilization),
+            pct(share),
+        ]);
+    }
+    Output::tables(vec![t]).note(format!(
+        "average queuing share of L2-miss latency: {} (paper: ~60%)",
+        pct(q_share_sum / rows.len() as f64)
+    ))
+}
+
+fn tables_1_to_3() -> Output {
+    let m = AreaModel::table_i();
+    let mut t1 = Table::new("table1_area", &["component", "relative area"])
+        .captioned("Table I — relative component area (units of 1 MB LLC)");
+    t1.row(&["L3 cache (1 MB)".into(), f2(m.llc_1mb)]);
+    t1.row(&["Zen 3 core (incl. 512 KB L2)".into(), f2(m.zen3_core)]);
+    t1.row(&["x8 PCIe (PHY + ctrl)".into(), f2(m.pcie_x8)]);
+    t1.row(&["DDR channel (PHY + ctrl)".into(), f2(m.ddr_channel)]);
+
+    let mut t2 = Table::new(
+        "table2_configs",
+        &[
+            "design",
+            "cores",
+            "LLC/core MB",
+            "DDR ch",
+            "CXL x8 ch",
+            "rel. BW",
+            "rel. area",
+            "comment",
+        ],
+    )
+    .captioned("Table II — DDR-based versus alternative COAXIAL server configurations");
+    for d in ServerDesign::table_ii() {
+        t2.row(&[
+            d.name.to_string(),
+            d.cores.to_string(),
+            f2(d.llc_mb_per_core),
+            d.ddr_channels.to_string(),
+            d.cxl_x8_channels.to_string(),
+            if d.relative_bandwidth.is_nan() {
+                "asym R/W".into()
+            } else {
+                format!("{:.0}x", d.relative_bandwidth)
+            },
+            f2(d.relative_area(&m)),
+            d.comment.to_string(),
+        ]);
+    }
+
+    let mut t3 = Table::new(
+        "table3_parameters",
+        &["config", "DDR channels", "LLC MB/core", "peak GB/s", "CALM"],
+    )
+    .captioned("Table III — simulated system parameters (12-core slice)");
+    for cfg in [
+        SystemConfig::ddr_baseline(),
+        SystemConfig::coaxial_2x(),
+        SystemConfig::coaxial_4x(),
+        SystemConfig::coaxial_5x(),
+        SystemConfig::coaxial_asym(),
+    ] {
+        t3.row(&[
+            cfg.name.clone(),
+            cfg.ddr_channels().to_string(),
+            f2(cfg.functional.llc_mb_per_core),
+            f2(cfg.peak_bandwidth_gbs()),
+            cfg.timing.calm.label(),
+        ]);
+    }
+    Output::tables(vec![t1, t2, t3]).note(
+        "CPU: 12 OoO cores, 2.4 GHz, 4-wide, 256-entry ROB; L1 32 KB/8-way/4-cycle; \
+         L2 512 KB/8-way/8-cycle; LLC 16-way/20-cycle; NoC 2D mesh, 3 cycles/hop.",
+    )
+}
+
+fn table4(rows: &[BaselineRow]) -> Output {
+    let mut t =
+        Table::new("table4_workloads", &["workload", "IPC", "MPKI", "paper IPC", "paper MPKI"]);
+    for r in rows {
+        t.row(&[
+            r.workload.clone(),
+            f2(r.ipc),
+            format!("{:.0}", r.mpki),
+            f2(r.paper_ipc),
+            r.paper_mpki.to_string(),
+        ]);
+    }
+    // Spearman rank correlation of measured vs paper MPKI (shape check).
+    let ranks = |vals: Vec<f64>| {
+        let mut order: Vec<usize> = (0..vals.len()).collect();
+        order.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
+        let mut rank = vec![0usize; vals.len()];
+        for (r, i) in order.into_iter().enumerate() {
+            rank[i] = r;
         }
-        "fig8" => debug_rows(&fig8_variants(budget)),
-        "fig10" => debug_rows(&fig10_latency_sensitivity(&[10.0, 50.0, 90.0], budget)),
-        "fig11" => debug_rows(&fig11_core_utilization(&[4, 8, 12], budget)),
-        "dram-timing" => {
-            let rows = dram_timing_scale(&[0.75, 1.0, 1.5], &["stream-add", "mcf"], budget);
+        rank
+    };
+    let rank_m = ranks(rows.iter().map(|r| r.mpki).collect());
+    let rank_p = ranks(rows.iter().map(|r| f64::from(r.paper_mpki)).collect());
+    let n = rows.len() as f64;
+    let d2: f64 = rank_m.iter().zip(&rank_p).map(|(&m, &p)| (m as f64 - p as f64).powi(2)).sum();
+    let rho = 1.0 - 6.0 * d2 / (n * (n * n - 1.0));
+    Output::tables(vec![t]).note(format!(
+        "Spearman rank correlation of MPKI vs paper: {rho:.2} (1.0 = identical ordering)"
+    ))
+}
+
+/// Accepted band for the Fig. 5 geomean speedup. It holds the paper's
+/// 1.39x and this model's 1.458 (quick budget) and 1.47 (default budget).
+const FIG5_GEOMEAN_BAND: (f64, f64) = (1.30, 1.60);
+
+fn fig5(budget: Budget) -> Output {
+    let rows = fig5_main(budget);
+    let mut t = Table::new(
+        "fig5_main_results",
+        &[
+            "workload",
+            "speedup",
+            "base lat ns (on+q+dram)",
+            "coax lat ns (on+q+dram+cxl)",
+            "base GB/s",
+            "coax GB/s",
+            "base util",
+            "coax util",
+        ],
+    );
+    for r in &rows {
+        let (ob, qb, sb, _) = r.base.breakdown_ns;
+        let (oc, qc, sc, xc) = r.coax.breakdown_ns;
+        t.row(&[
+            r.workload.clone(),
+            f2(r.speedup),
+            format!("{} ({}+{}+{})", f1(ob + qb + sb), f1(ob), f1(qb), f1(sb)),
+            format!("{} ({}+{}+{}+{})", f1(oc + qc + sc + xc), f1(oc), f1(qc), f1(sc), f1(xc)),
+            f1(r.base.bandwidth_gbs),
+            f1(r.coax.bandwidth_gbs),
+            pct(r.base.utilization),
+            pct(r.coax.utilization),
+        ]);
+    }
+    let chart = Chart::speedup_bars(
+        "fig5_speedup",
+        "Fig. 5 (top): COAXIAL-4x speedup over DDR baseline",
+        rows.iter().map(|r| r.workload.clone()).collect(),
+        vec![Series::new("COAXIAL-4x speedup", rows.iter().map(|r| r.speedup).collect())],
+    );
+
+    let n = rows.len() as f64;
+    let base_util: f64 = rows.iter().map(|r| r.base.utilization).sum::<f64>() / n;
+    let coax_util: f64 = rows.iter().map(|r| r.coax.utilization).sum::<f64>() / n;
+    let losers = rows.iter().filter(|r| r.speedup < 1.0).count();
+    let max = rows.iter().max_by(|a, b| a.speedup.total_cmp(&b.speedup)).expect("36 workloads");
+    let lat_reduction =
+        1.0 - geomean(rows.iter().map(|r| r.coax.l2_miss_latency_ns / r.base.l2_miss_latency_ns));
+    let gm = geomean(rows.iter().map(|r| r.speedup));
+    Output {
+        tables: vec![t],
+        charts: vec![chart],
+        notes: vec![
+            format!("geomean speedup: {gm:.2}x   (paper: 1.39x, up to 3x)"),
+            format!("max speedup:     {:.2}x on {}", max.speedup, max.workload),
+            format!("workloads losing performance: {losers}   (paper: 7)"),
             format!(
-                "{}\ncoax geomean of geomeans {:.3}",
-                debug_rows(&rows),
-                geomean(rows.iter().map(|r| r.coax_geomean_ipc))
-            )
+                "avg bandwidth utilization: {} -> {}   (paper: 54% -> 34%)",
+                pct(base_util),
+                pct(coax_util)
+            ),
+            format!("geomean L2-miss latency reduction: {}   (paper: 29%)", pct(lat_reduction)),
+        ],
+        claims: vec![Claim::band("Fig. 5 geomean speedup", "1.39", gm, FIG5_GEOMEAN_BAND)],
+    }
+}
+
+/// Fig. 6 runs the paper's ten mixes.
+const FIG6_MIXES: u64 = 10;
+
+fn fig6(budget: Budget, weighted: bool) -> Output {
+    let rows = fig6_mixes_full(FIG6_MIXES, budget, weighted);
+    let name = if weighted { "fig6_mixes_weighted" } else { "fig6_mixes" };
+    let mut t = Table::new(name, &["mix", "speedup", "weighted-speedup", "workloads"]);
+    for r in &rows {
+        t.row(&[
+            format!("mix-{}", r.mix_id),
+            f2(r.speedup),
+            r.weighted_speedup_ratio.map(f2).unwrap_or_else(|| "-".into()),
+            r.workloads.join("+"),
+        ]);
+    }
+    let min = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
+    let max = rows.iter().map(|r| r.speedup).fold(0.0, f64::max);
+    let gm = geomean(rows.iter().map(|r| r.speedup));
+    let out = Output::tables(vec![t]).note(format!(
+        "min/max/geomean mix speedup: {min:.2}x / {max:.2}x / {gm:.2}x   (paper: 1.5x / 1.9x / 1.7x)"
+    ));
+    if weighted {
+        out
+    } else {
+        out.note("(`fig6-weighted` fills the weighted-speedup column)")
+    }
+}
+
+/// Fig. 7's per-workload panel: the four workloads the paper shows.
+const FIG7_SHOWN: [&str; 4] = ["gcc", "stream-copy", "lbm", "PageRank"];
+/// Fig. 7's "avg" cluster: the paper averages all 36 workloads; to bound
+/// runtime this averages a fixed 12-workload sample (one per suite tier).
+const FIG7_SAMPLE: [&str; 12] = [
+    "lbm",
+    "gcc",
+    "mcf",
+    "bwaves",
+    "PageRank",
+    "Components",
+    "BFS",
+    "stream-copy",
+    "stream-triad",
+    "streamcluster",
+    "masstree",
+    "kmeans",
+];
+
+fn fig7(budget: Budget) -> Output {
+    let mut t = Table::new(
+        "fig7_calm",
+        &["workload", "system", "mechanism", "speedup vs serial", "FP/mem access", "FN/LLC miss"],
+    );
+    for r in fig7_calm(&FIG7_SHOWN, budget) {
+        t.row(&[
+            r.workload,
+            r.system,
+            r.mechanism,
+            f2(r.speedup_vs_serial),
+            pct(r.false_pos_per_mem_access),
+            pct(r.false_neg_per_llc_miss),
+        ]);
+    }
+    let avg_rows = fig7_calm(&FIG7_SAMPLE, budget);
+    let mut avg =
+        Table::new("fig7_calm_avg", &["system", "mechanism", "geomean speedup vs serial"])
+            .captioned(format!("averages over {} workloads:", FIG7_SAMPLE.len()));
+    for system in ["baseline", "COAXIAL"] {
+        for mech in calm_mechanisms().iter().map(CalmPolicy::label) {
+            let gm = geomean(
+                avg_rows
+                    .iter()
+                    .filter(|r| r.system == system && r.mechanism == mech)
+                    .map(|r| r.speedup_vs_serial),
+            );
+            avg.row(&[system.to_string(), mech, f2(gm)]);
         }
-        "core-scaling" => debug_rows(&core_scaling(&[6, 12], &["mcf"], budget)),
-        "prefetch" => debug_rows(&prefetch_sweep(
-            &[PrefetchPolicy::NextLine { degree: 2 }],
-            &["stream-add"],
-            budget,
-        )),
-        "seeds" => debug_rows(&seed_stability(&[1, 2, 3], &["mcf"], budget)),
-        "sampling" => {
-            // Laptop-scale interval shape; warm == measure per the bias
-            // calibration in the sampling module docs.
-            let scfg = crate::sampling::SamplingConfig {
-                intervals: 5,
-                measure: 2_000,
-                warm: 2_000,
-                ci_target: 0.0,
-            };
-            debug_rows(&sampling_accuracy(&["mcf", "stream-add"], budget, &scfg))
-        }
-        _ => return None,
+    }
+    Output::tables(vec![t, avg]).note(
+        "paper: CALM lifts COAXIAL from 1.28x to 1.39x over baseline; baseline's average \
+         gain from CALM is negligible; CALM-70% FP ≈ 4% of memory accesses, FN ≈ 11% of LLC misses.",
+    )
+}
+
+fn fig8(budget: Budget) -> Output {
+    let rows = fig8_variants(budget);
+    let mut t = Table::new(
+        "fig8_variants",
+        &["workload", "COAXIAL-2x", "COAXIAL-4x", "COAXIAL-5x", "COAXIAL-asym"],
+    );
+    for r in &rows {
+        t.row(&[
+            r.workload.clone(),
+            f2(r.coaxial_2x),
+            f2(r.coaxial_4x),
+            f2(r.coaxial_5x),
+            f2(r.coaxial_asym),
+        ]);
+    }
+    let chart = Chart::speedup_bars(
+        "fig8_variants",
+        "Fig. 8: COAXIAL variants vs DDR baseline",
+        rows.iter().map(|r| r.workload.clone()).collect(),
+        vec![
+            Series::new("2x", rows.iter().map(|r| r.coaxial_2x).collect()),
+            Series::new("4x", rows.iter().map(|r| r.coaxial_4x).collect()),
+            Series::new("asym", rows.iter().map(|r| r.coaxial_asym).collect()),
+        ],
+    );
+    let gm2 = geomean(rows.iter().map(|r| r.coaxial_2x));
+    let gm4 = geomean(rows.iter().map(|r| r.coaxial_4x));
+    let gm5 = geomean(rows.iter().map(|r| r.coaxial_5x));
+    let gma = geomean(rows.iter().map(|r| r.coaxial_asym));
+    let regressed = rows.iter().filter(|r| r.coaxial_asym < r.coaxial_4x * 0.97).count();
+    Output {
+        tables: vec![t],
+        charts: vec![chart],
+        notes: vec![
+            format!(
+                "geomean speedups: 2x = {gm2:.2}, 4x = {gm4:.2}, 5x = {gm5:.2}, asym = {gma:.2}   \
+                 (paper: 1.17 / 1.39 / — / 1.52; asym beats 4x by ~13%; 5x is the iso-pin\n\
+                 Table II point the paper sizes but does not simulate)"
+            ),
+            format!("asym over 4x: {:.1}%", (gma / gm4 - 1.0) * 100.0),
+            format!("workloads hurt by asym's reduced write bandwidth: {regressed}   (paper: 0)"),
+        ],
+        claims: vec![Claim {
+            what: "Fig. 8 geomean order 2x < 4x <= asym",
+            paper: "1.17 < 1.39 <= 1.52",
+            measured: format!("{gm2:.3} < {gm4:.3} <= {gma:.3}"),
+            accept: "2x < 4x <= asym".into(),
+            holds: gm2 < gm4 && gm4 <= gma,
+        }],
+    }
+}
+
+fn fig9(rows: &[BaselineRow]) -> Output {
+    let mut t = Table::new("fig9_rw_split", &["workload", "read GB/s", "write GB/s", "R:W ratio"]);
+    let (mut rsum, mut wsum) = (0.0, 0.0);
+    for r in rows {
+        rsum += r.read_gbs;
+        wsum += r.write_gbs;
+        t.row(&[
+            r.workload.clone(),
+            f1(r.read_gbs),
+            f1(r.write_gbs),
+            f2(r.read_gbs / r.write_gbs.max(1e-6)),
+        ]);
+    }
+    Output::tables(vec![t])
+        .note(format!("average R:W ratio: {:.1}:1   (paper: 3.7:1)", rsum / wsum.max(1e-6)))
+}
+
+/// Fig. 10's CXL latency premiums: the paper's 50 and 70 ns, then §VII's
+/// 10 ns OMI-like projection.
+const FIG10_LATENCIES_NS: [f64; 3] = [50.0, 70.0, 10.0];
+
+fn fig10(budget: Budget) -> Output {
+    let rows = fig10_latency_sensitivity(&FIG10_LATENCIES_NS, budget);
+    let (mut out, columns) = speedup_columns(
+        "fig10_latency_sensitivity",
+        "Fig. 10: sensitivity to the CXL latency premium",
+        &["workload", "50 ns", "70 ns", "10 ns (OMI-like)"],
+        &FIG10_LATENCIES_NS.map(|ns| format!("{ns:.0} ns")),
+        rows.iter()
+            .map(|r| (r.workload.clone(), r.speedups.iter().map(|s| s.1).collect()))
+            .collect(),
+    );
+    for (ns, col) in FIG10_LATENCIES_NS.iter().zip(&columns) {
+        let gm = geomean(col.iter().copied());
+        let losers = col.iter().filter(|&&s| s < 1.0).count();
+        out = out.note(format!("{ns:>5.0} ns: geomean {gm:.2}x, {losers} workloads lose"));
+    }
+    out.note(
+        "paper: 50 ns -> 1.39x (7 losers); 70 ns -> 1.26x (10 losers); \
+         10 ns -> 1.71x (no loser with CALM)",
+    )
+}
+
+/// Fig. 11's active-core counts (8%, 33%, 66% and 100% of the slice).
+const FIG11_ACTIVE: [usize; 4] = [1, 4, 8, 12];
+
+fn fig11(budget: Budget) -> Output {
+    let rows = fig11_core_utilization(&FIG11_ACTIVE, budget);
+    let (mut out, columns) = speedup_columns(
+        "fig11_core_utilization",
+        "Fig. 11: speedup vs active cores",
+        &["workload", "1 core", "4 cores", "8 cores", "12 cores"],
+        &FIG11_ACTIVE.map(|n| format!("{n} cores")),
+        rows.iter()
+            .map(|r| (r.workload.clone(), r.speedups.iter().map(|s| s.1).collect()))
+            .collect(),
+    );
+    for (n, col) in FIG11_ACTIVE.iter().zip(&columns) {
+        let gm = geomean(col.iter().copied());
+        out = out.note(format!("{n:>2} active cores: geomean speedup {gm:.2}x"));
+    }
+    out.note(
+        "paper: 1 core -> 0.73x (27% slowdown); 8 cores (66% util, 8:1 core:MC) -> 1.17x; \
+         12 cores -> 1.39x",
+    )
+}
+
+/// A per-workload table with one speedup column per swept point, the
+/// matching bar chart (one series per point, named by `labels`), and the
+/// columns themselves for the caller's summary notes.
+fn speedup_columns(
+    name: &str,
+    title: &str,
+    headers: &[&str],
+    labels: &[String],
+    rows: Vec<(String, Vec<f64>)>,
+) -> (Output, Vec<Vec<f64>>) {
+    let mut t = Table::new(name, headers);
+    for (w, speedups) in &rows {
+        let mut cells = vec![w.clone()];
+        cells.extend(speedups.iter().map(|&s| f2(s)));
+        t.row(&cells);
+    }
+    let columns: Vec<Vec<f64>> =
+        (0..labels.len()).map(|i| rows.iter().map(|r| r.1[i]).collect()).collect();
+    let series = labels.iter().zip(&columns).map(|(l, c)| Series::new(l, c.clone())).collect();
+    let chart = Chart::speedup_bars(name, title, rows.into_iter().map(|r| r.0).collect(), series);
+    (Output { charts: vec![chart], ..Output::tables(vec![t]) }, columns)
+}
+
+fn table5(budget: Budget) -> Output {
+    let inputs = table5_inputs(&fig5_main(budget));
+    let (base, coax) = power::table5(inputs.baseline_cpi, inputs.coaxial_cpi);
+    let mut t = Table::new("table5_power_edp", &["component", "Baseline", "COAXIAL"]);
+    let w = |x: f64| format!("{x:.0} W");
+    t.row(&["Cores + L1 + L2".into(), w(base.core_w), w(coax.core_w)]);
+    t.row(&["DDR5 MC & PHY".into(), w(base.ddr_mc_w), w(coax.ddr_mc_w)]);
+    t.row(&["LLC (leakage+access)".into(), w(base.llc_w), w(coax.llc_w)]);
+    t.row(&["CXL interface".into(), w(base.cxl_w), w(coax.cxl_w)]);
+    t.row(&["DDR5 DIMMs".into(), w(base.dimm_w), w(coax.dimm_w)]);
+    t.row(&["Total system power".into(), w(base.total_w), w(coax.total_w)]);
+    t.row(&["Average CPI (measured)".into(), f2(base.cpi), f2(coax.cpi)]);
+    t.row(&["Relative perf/W".into(), "1.00".into(), f2(coax.perf_per_watt / base.perf_per_watt)]);
+    t.row(&[
+        "EDP (lower=better)".into(),
+        format!("{:.0}", base.edp),
+        format!("{:.0} ({:.2}x)", coax.edp, coax.edp / base.edp),
+    ]);
+    t.row(&[
+        "ED2P (lower=better)".into(),
+        format!("{:.0}", base.ed2p),
+        format!("{:.0} ({:.2}x)", coax.ed2p, coax.ed2p / base.ed2p),
+    ]);
+    Output::tables(vec![t])
+        .note("paper: 646 W vs 931 W; CPI 2.05 vs 1.48; perf/W 0.96; EDP 0.75x; ED2P 0.53x")
+}
+
+fn baseline(budget: Budget) -> Output {
+    let rows = baseline_characterization(budget);
+    [fig2b(&rows), table4(&rows), fig9(&rows)].into_iter().fold(Output::default(), |mut all, o| {
+        all.tables.extend(o.tables);
+        all.notes.extend(o.notes);
+        all
     })
+}
+
+fn sampling(budget: Budget) -> Output {
+    // Laptop-scale interval shape; warm == measure per the bias
+    // calibration in the sampling module docs.
+    let scfg = crate::sampling::SamplingConfig {
+        intervals: 5,
+        measure: 2_000,
+        warm: 2_000,
+        ci_target: 0.0,
+    };
+    let mut t = Table::new(
+        "sampling",
+        &["workload", "full IPC", "sampled IPC", "95% CI ±", "intervals", "detail share", "in CI"],
+    );
+    for r in sampling_accuracy(SMOKE_SET, budget, &scfg) {
+        t.row(&[
+            r.workload.to_string(),
+            format!("{:.3}", r.full_ipc),
+            format!("{:.3}", r.sampled_ipc),
+            format!("{:.3}", r.ci_half),
+            r.intervals_run.to_string(),
+            pct(r.detail_fraction),
+            if r.within_ci { "yes" } else { "no" }.into(),
+        ]);
+    }
+    Output::tables(vec![t])
+}
+
+// ───────────────────────── Ablations ────────────────────────
+
+/// The ablation studies' workload set: two bandwidth-bound, one graph,
+/// one latency-bound, one key-value store and one clustering kernel.
+const ABLATION_SET: &[&str] = &["stream-triad", "lbm", "PageRank", "mcf", "masstree", "kmeans"];
+
+/// For each ablation workload, run `variants` and tabulate each one's IPC
+/// relative to the first (which is printed as the fixed "1.00" column at
+/// `anchor_col`).
+fn relative_ipc_table(
+    name: &str,
+    headers: &[&str],
+    anchor_col: usize,
+    budget: Budget,
+    variants: &[SystemConfig],
+) -> Table {
+    let ws = named_workloads(ABLATION_SET);
+    let specs: Vec<RunSpec> =
+        ws.iter().flat_map(|&w| variants.iter().map(move |c| budget.spec(c.clone(), w))).collect();
+    let mut t = Table::new(name, headers);
+    let ipc: Vec<f64> = runner::run_all(&specs).iter().map(|r| r.ipc).collect();
+    for (w, ipc) in ws.iter().zip(ipc.chunks_exact(variants.len())) {
+        let mut cells: Vec<String> = vec![w.name.into()];
+        cells.extend(ipc[1..].iter().map(|v| f2(v / ipc[0])));
+        cells.insert(anchor_col, "1.00".into());
+        t.row(&cells);
+    }
+    t
+}
+
+fn ablations(budget: Budget) -> Output {
+    let base = SystemConfig::ddr_baseline;
+    let dram = DramConfig::ddr5_4800;
+    let page = relative_ipc_table(
+        "ablation_page_policy",
+        &["workload", "open-adaptive", "open", "closed"],
+        1,
+        budget,
+        &[
+            base(),
+            base().with_dram(dram().with_page_policy(PagePolicy::Open)),
+            base().with_dram(dram().with_page_policy(PagePolicy::Closed)),
+        ],
+    )
+    .captioned("1) DRAM page policy (baseline IPC, relative to open-adaptive)");
+    let window = relative_ipc_table(
+        "ablation_sched_window",
+        &["workload", "w=1 (FCFS)", "w=4", "w=16", "w=48"],
+        3,
+        budget,
+        &[
+            base(),
+            base().with_dram(dram().with_sched_window(1)),
+            base().with_dram(dram().with_sched_window(4)),
+            base().with_dram(dram().with_sched_window(48)),
+        ],
+    )
+    .captioned("2) FR-FCFS scheduling window (baseline IPC relative to window=16)");
+    let coax = SystemConfig::coaxial_4x;
+    let epoch = relative_ipc_table(
+        "ablation_calm_epoch",
+        &["workload", "1k", "8k (default)", "64k"],
+        2,
+        budget,
+        &[coax(), coax().with_calm_epoch(1024), coax().with_calm_epoch(65536)],
+    )
+    .captioned("3) CALM_R epoch (COAXIAL-4x IPC relative to the 8192-cycle default)");
+
+    // MSHR count lives in HierarchyConfig, which SystemConfig does not
+    // expose; these runs drive a hand-built hierarchy without warmup.
+    let mshr_points: Vec<(&'static Workload, usize)> = named_workloads(ABLATION_SET)
+        .into_iter()
+        .flat_map(|w| [16, 4, 8, 32].map(|m| (w, m)))
+        .collect();
+    let mshr_ipc =
+        runner::parallel_map(&mshr_points, |&(w, m)| mshr_run_ipc(m, w, budget.instructions));
+    let mut mshrs = Table::new("ablation_mshrs", &["workload", "4", "8", "16 (default)", "32"])
+        .captioned("4) L2 MSHRs (COAXIAL-4x IPC relative to 16; MLP ceiling)");
+    for (w, ipc) in ABLATION_SET.iter().zip(mshr_ipc.chunks_exact(4)) {
+        let rel = |i: usize| f2(ipc[i] / ipc[0]);
+        mshrs.row(&[(*w).into(), rel(1), rel(2), "1.00".into(), rel(3)]);
+    }
+
+    // The knob-coverage sweeps run without warmup.
+    let sweep = Budget { warmup: 0, ..budget };
+    Output::tables(vec![
+        page,
+        window,
+        epoch,
+        mshrs,
+        prefetch_table("ablation_prefetch", ABLATION_SET, sweep)
+            .captioned("5) L2 prefetching (IPC relative to no-prefetch, per system)"),
+        dram_timing_table("ablation_dram_speed_grade", &[0.75, 1.0, 1.5], ABLATION_SET, sweep)
+            .captioned("6) DRAM speed grade (geomean IPC; every DDR5 timing scaled together)"),
+        core_scaling_table("ablation_core_scaling", &[6, 12, 24], ABLATION_SET, sweep)
+            .captioned("7) slice size (geomean IPC and COAXIAL speedup per core count)"),
+        seed_table("ablation_seed_stability", &[0xC0A51A1, 1, 2, 3], ABLATION_SET, sweep)
+            .captioned("8) seed stability (COAXIAL-4x geomean IPC per RNG seed)"),
+    ])
+    .note(
+        "expectation: prefetch gains should be larger (or losses smaller) on COAXIAL than \
+         on the bandwidth-starved baseline — the same asymmetry the paper shows for CALM.",
+    )
+}
+
+/// Next-line and IP-stride prefetching on both systems, as IPC relative
+/// to the same system without prefetching, with a geomean row.
+fn prefetch_table(name: &str, workloads: &[&str], budget: Budget) -> Table {
+    let policies = [PrefetchPolicy::NextLine { degree: 2 }, PrefetchPolicy::IpStride { degree: 4 }];
+    let rows = prefetch_sweep(&policies, workloads, budget);
+    let mut t = Table::new(
+        name,
+        &["workload", "base next-line", "base ip-stride", "coax next-line", "coax ip-stride"],
+    );
+    let mut gains: [Vec<f64>; 4] = Default::default();
+    for (wl, pair) in workloads.iter().zip(rows.chunks_exact(policies.len())) {
+        let vals = [
+            pair[0].base_rel_ipc,
+            pair[1].base_rel_ipc,
+            pair[0].coax_rel_ipc,
+            pair[1].coax_rel_ipc,
+        ];
+        for (v, g) in vals.iter().zip(gains.iter_mut()) {
+            g.push(*v);
+        }
+        t.row(&[(*wl).into(), f2(vals[0]), f2(vals[1]), f2(vals[2]), f2(vals[3])]);
+    }
+    let mut geo = vec!["geomean".to_string()];
+    geo.extend(gains.iter().map(|g| f2(geomean(g.iter().copied()))));
+    t.row(&geo);
+    t
+}
+
+fn dram_timing_table(name: &str, factors: &[f64], workloads: &[&str], budget: Budget) -> Table {
+    let mut t = Table::new(name, &["timing scale", "baseline", "COAXIAL-4x"]);
+    for r in dram_timing_scale(factors, workloads, budget) {
+        t.row(&[format!("{:.2}x", r.factor), f2(r.base_geomean_ipc), f2(r.coax_geomean_ipc)]);
+    }
+    t
+}
+
+fn core_scaling_table(name: &str, cores: &[usize], workloads: &[&str], budget: Budget) -> Table {
+    let mut t = Table::new(name, &["cores", "baseline", "COAXIAL-4x", "speedup"]);
+    for r in core_scaling(cores, workloads, budget) {
+        t.row(&[
+            r.cores.to_string(),
+            f2(r.base_geomean_ipc),
+            f2(r.coax_geomean_ipc),
+            f2(r.speedup),
+        ]);
+    }
+    t
+}
+
+fn seed_table(name: &str, seeds: &[u64], workloads: &[&str], budget: Budget) -> Table {
+    let mut t = Table::new(name, &["seed", "geomean IPC"]);
+    for r in seed_stability(seeds, workloads, budget) {
+        t.row(&[format!("{:#x}", r.seed), f2(r.geomean_ipc)]);
+    }
+    t
+}
+
+/// Mean per-core IPC of COAXIAL-4x with `mshrs` L2 MSHRs per core, driven
+/// directly (no warmup, no prefill) for `instructions` per core.
+fn mshr_run_ipc(mshrs: usize, w: &'static Workload, instructions: u64) -> f64 {
+    fn drive<B: MemoryBackend>(
+        cfg: &SystemConfig,
+        hier_cfg: HierarchyConfig,
+        backend: B,
+        w: &'static Workload,
+        instructions: u64,
+    ) -> f64 {
+        let mut h = Hierarchy::new(hier_cfg, backend);
+        let mut cores: Vec<Core> = (0..cfg.functional.cores)
+            .map(|i| {
+                let id = coaxial_sim::small_u32(i);
+                Core::new(id, CoreParams::default(), w.trace(id, cfg.functional.seed))
+            })
+            .collect();
+        let mut now = 0u64;
+        loop {
+            h.tick(now);
+            while let Some((core, id)) = h.pop_completion() {
+                cores[core as usize].on_memory_complete(id);
+            }
+            for c in cores.iter_mut() {
+                c.tick(now, &mut h);
+            }
+            now += 1;
+            if cores.iter().all(|c| c.retired >= instructions) || now > instructions * 150 {
+                break;
+            }
+        }
+        cores.iter().map(Core::ipc).sum::<f64>() / cores.len() as f64
+    }
+
+    let cfg = SystemConfig::coaxial_4x();
+    let mut hier = HierarchyConfig::table_iii(
+        cfg.functional.cores,
+        cfg.ddr_channels(),
+        cfg.functional.llc_mb_per_core,
+        cfg.peak_bandwidth_gbs(),
+        cfg.timing.calm,
+    );
+    hier.l2_mshrs = mshrs;
+    match &cfg.timing.memory {
+        MemorySystemKind::DirectDdr { channels } => {
+            let b = MultiChannel::new(&cfg.timing.dram, *channels);
+            drive(&cfg, hier, b, w, instructions)
+        }
+        MemorySystemKind::Cxl { link, channels } => {
+            let b = CxlMemory::new(link, &cfg.timing.dram, *channels);
+            drive(&cfg, hier, b, w, instructions)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -923,10 +1766,32 @@ mod tests {
     }
 
     #[test]
-    fn run_named_dispatches_known_names_only() {
-        assert!(run_named("not-an-experiment", Budget::quick()).is_none());
-        let out = run_named("fig2a", Budget::quick()).expect("fig2a is dispatchable");
-        assert!(out.contains("LoadLatencyPoint"), "{out}");
+    fn registry_names_are_unique_and_cover_the_old_exp_names() {
+        assert!(experiment("not-an-experiment").is_none());
+        let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate registry name in {names:?}");
+        // Every name `coaxial exp` accepted before the registry existed.
+        let old_names = "fig2a baseline fig5 fig6 fig6-weighted fig7 fig8 fig10 fig11 \
+                         dram-timing core-scaling prefetch seeds sampling";
+        for old in old_names.split_whitespace() {
+            assert!(experiment(old).is_some(), "`coaxial exp {old}` no longer resolves");
+        }
+        // The analytic entries run instantly; their output is well formed.
+        let out = (experiment("fig1").expect("fig1").run)(Budget::quick());
+        assert_eq!(out.charts.len(), 2);
+        assert!(out.to_string().contains("PCIe 5.0 vs DDR5-4800"), "{out}");
+    }
+
+    #[test]
+    fn claims_report_their_band() {
+        let inside = Claim::band("x", "1.39", 1.45, (1.3, 1.6));
+        let outside = Claim::band("x", "1.39", 1.25, (1.3, 1.6));
+        assert!(inside.holds && !outside.holds);
+        assert_eq!(
+            outside.to_string(),
+            "claim x: paper 1.39, measured 1.250, accepted [1.30, 1.60] — VIOLATED"
+        );
     }
 
     #[test]

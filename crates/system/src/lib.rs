@@ -14,7 +14,7 @@
 //! | Table III (parameters)        | [`config::SystemConfig`] |
 //! | Table IV (workloads)          | [`experiments::baseline_characterization`] |
 //! | Fig. 5 (main results)         | [`experiments::fig5_main`] |
-//! | Fig. 6 (mixes)                | [`experiments::fig6_mixes`] |
+//! | Fig. 6 (mixes)                | [`experiments::fig6_mixes_full`] |
 //! | Fig. 7 (CALM sensitivity)     | [`experiments::fig7_calm`] |
 //! | Fig. 8 (COAXIAL variants)     | [`experiments::fig8_variants`] |
 //! | Fig. 9 (R/W bandwidth)        | [`experiments::baseline_characterization`] |
@@ -22,6 +22,9 @@
 //! | Fig. 11 (core utilization)    | [`experiments::fig11_core_utilization`] |
 //! | Table V (power/EDP)           | [`power::table5`] |
 //! | §IV-E (capacity & cost)       | [`cost`] |
+//!
+//! [`experiments::registry`] names each of them (and the extension
+//! studies) for `coaxial exp <name>` and the `paper` bench.
 
 // No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]
@@ -36,6 +39,7 @@ pub mod power;
 pub mod runner;
 pub mod sampling;
 pub mod server;
+pub mod table;
 
 pub use config::{ConfigError, MemorySystemKind, SystemConfig};
 pub use engine::EngineKind;

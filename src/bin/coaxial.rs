@@ -12,7 +12,7 @@
 //! coaxial capture <workload> <file> [--ops N]
 //! coaxial replay <file> [opts]            # run a captured .cxtr trace
 //! coaxial checkpoint-stats [workload] [opts] # prefill checkpoint hit rate over two runs
-//! coaxial exp <name> [opts]               # one paper experiment by name
+//! coaxial exp <name> [opts]               # one registry experiment by name
 //! coaxial serve [serve options]           # HTTP gateway: POST /v1/run etc.
 //! coaxial http <METHOD> <url> [body]      # tiny HTTP client for scripts
 //!
@@ -41,7 +41,7 @@
 use std::process::exit;
 
 use coaxial::cpu::tracefile;
-use coaxial::system::experiments::{latency_breakdown, run_named, Budget, EXPERIMENT_NAMES};
+use coaxial::system::experiments::{self, latency_breakdown, Budget};
 use coaxial::system::runner::{run_all, RunSpec};
 use coaxial::system::{RunReport, SamplingConfig, SamplingSummary, Simulation, SystemConfig};
 use coaxial::telemetry::TelemetryRecorder;
@@ -477,17 +477,13 @@ fn main() {
         "exp" => {
             let Some(name) = args.get(1) else { usage() };
             let o = parse_opts(&args[2..]);
-            let budget = Budget { instructions: o.instr, warmup: o.warmup };
-            match run_named(name, budget) {
-                Some(out) => println!("{out}"),
-                None => {
-                    eprintln!(
-                        "unknown experiment '{name}' — available: {}",
-                        EXPERIMENT_NAMES.join(", ")
-                    );
-                    exit(2)
-                }
-            }
+            let Some(e) = experiments::experiment(name) else {
+                let known: Vec<&str> = experiments::registry().iter().map(|e| e.name).collect();
+                eprintln!("unknown experiment '{name}' — available: {}", known.join(", "));
+                exit(2)
+            };
+            println!("=== {} — {} ===\n", e.name, e.title);
+            print!("{}", (e.run)(Budget { instructions: o.instr, warmup: o.warmup }));
         }
         "serve" => {
             let mut cfg = coaxial::gateway::GatewayConfig::from_env();
